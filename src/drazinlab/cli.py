@@ -89,8 +89,11 @@ def _cmd_gen(args) -> int:
         return _fail(str(exc), 2)
     text = jsonio.dumps(jsonio.corpus_to_obj(spec.to_dict(), quads))
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            return _fail(str(exc), 2)
     else:
         print(text)
     return 0

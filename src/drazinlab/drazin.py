@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .errors import InternalInvariantError, NoGroupInverseError, ShapeError
 from .matrices import (
     Matrix,
     block_diag,
     inverse,
+    kron,
     null_space_basis,
     one_inverse,
     rank,
@@ -134,12 +135,8 @@ def oracle_drazin(a: Matrix) -> DrazinData:
     kernel = null_space_basis(ak)
     if r + len(kernel) != n:
         raise InternalInvariantError("column space and null space dimensions do not add up")
-    cols: list[list] = []
-    if r:
-        col_basis = ak.take_columns(pivots)
-        cols.extend(col_basis.take_columns([j]).entries for j in range(r))
-    cols.extend(v.entries for v in kernel)
-    p = Matrix(n, n, (cols[j][i] for i in range(n) for j in range(n)))
+    columns = ([ak.take_columns(pivots)] if r else []) + kernel
+    p = reduce(Matrix.hstack, columns)
     if rank(p) != n:
         raise InternalInvariantError("range and kernel of a^k do not complement")
     p_inv = inverse(p)
@@ -168,17 +165,9 @@ def commutant_basis(a: Matrix) -> tuple[Matrix, ...]:
     n = a.rows
     # Row (i,j) of the system is the (i,j) entry of X a - a X; the unknown
     # vector is X flattened row-major.
-    coeffs = []
-    for i in range(n):
-        for j in range(n):
-            row = [0] * (n * n)
-            for q in range(n):
-                row[i * n + q] = a.entry(q, j)
-            for p in range(n):
-                row[p * n + j] = row[p * n + j] - a.entry(i, p)
-            coeffs.append(row)
-    system = Matrix.from_rows(coeffs)
-    return tuple(Matrix(n, n, v.entries) for v in null_space_basis(system))
+    eye = Matrix.identity(n)
+    system = kron(eye, a.T) - kron(a, eye)
+    return tuple(v.reshape(n, n) for v in null_space_basis(system))
 
 
 def random_commutant_element(a: Matrix, seed: int) -> Matrix:

@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import GenerationExhaustedError, InternalInvariantError
-from .matrices import Matrix, block_diag, inverse, null_space_basis, solve
+from .matrices import Matrix, block_diag, inverse, kron, null_space_basis, solve
 from .transfer import Quadruple, check_conditions
 
 FAMILIES = (
@@ -180,18 +180,12 @@ def _solve_strong_for_c(a: Matrix, b: Matrix, d: Matrix) -> Matrix | None:
     of c[p][q] in (a c m)[i][j] is a[i][p] * m[q][j].
     """
     n = a.rows
-    rows = []
-    rhs = []
-    for m, target in ((d, d * b * d), (a, d * b * a)):
-        for i in range(n):
-            for j in range(n):
-                row = [a.entry(i, p) * m.entry(q, j) for p in range(n) for q in range(n)]
-                rows.append(row)
-                rhs.append([target.entry(i, j)])
-    solution = solve(Matrix.from_rows(rows), Matrix.from_rows(rhs))
+    system = kron(a, d.T).vstack(kron(a, a.T))
+    rhs = (d * b * d).reshape(n * n, 1).vstack((d * b * a).reshape(n * n, 1))
+    solution = solve(system, rhs)
     if solution is None:
         return None
-    return Matrix(n, n, solution.entries)
+    return solution.reshape(n, n)
 
 
 def _gen_triple_lift(n: int, rng: random.Random) -> Quadruple:

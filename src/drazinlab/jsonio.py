@@ -36,7 +36,7 @@ def matrix_from_obj(obj: Any) -> Matrix:
         rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"matrix object missing field: {exc}") from exc
-    if not isinstance(rows, int) or not isinstance(cols, int) or rows <= 0 or cols <= 0:
+    if not all(type(v) is int and v > 0 for v in (rows, cols)):  # bool is an int
         raise ParseError("matrix dimensions must be positive integers")
     if not isinstance(entries, list) or len(entries) != rows:
         raise ParseError(f"expected {rows} entry rows")

@@ -5,8 +5,9 @@ positive denominator, so equality on a pair of fractions is structural and
 needs no tolerance anywhere. Values are immutable by convention: no method
 mutates, and instances hash by value.
 
-Arithmetic carries a fast path for purely real operands; corpora are
-mostly real and the imaginary lanes would otherwise triple the work.
+`GaussianRational` is the scalar of the public and JSON boundary: matrix
+entries are read and written as these values. Matrix arithmetic itself
+runs on integer grids (see matrices.py) and does not use this class.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from fractions import Fraction
 from .errors import ParseError
 
 _RATIONAL_RE = _re.compile(r"^[+-]?\d+(/\d+)?$")
-_ZERO_F = Fraction(0)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -26,7 +26,10 @@ def parse_rational(text: str) -> Fraction:
         raise ParseError(f"malformed rational {text!r} (expected 'p' or 'p/q')")
     if "/" in text and text.split("/")[1].lstrip("0") == "":
         raise ParseError(f"zero denominator in {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ValueError as exc:  # more digits than int() converts
+        raise ParseError(f"rational too long ({len(text)} characters): {exc}") from exc
 
 
 class GaussianRational:
@@ -83,10 +86,7 @@ class GaussianRational:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        b, d = self.im, other.im
-        if not b and not d:
-            return GaussianRational(self.re * other.re, _ZERO_F)
-        a, c = self.re, other.re
+        a, b, c, d = self.re, self.im, other.re, other.im
         return GaussianRational(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
@@ -95,8 +95,6 @@ class GaussianRational:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self.im and not other.im:
-            return GaussianRational(self.re / other.re, _ZERO_F)
         n = other.norm_sq()
         if not n:
             raise ZeroDivisionError("division by zero Gaussian rational")
@@ -146,8 +144,3 @@ def _coerce(value):
     if isinstance(value, (int, Fraction)):
         return GaussianRational(value)
     return NotImplemented
-
-
-ZERO = GaussianRational(0)
-ONE = GaussianRational(1)
-I = GaussianRational(0, 1)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .drazin import random_commutant_element
-from .errors import IdentityFalsifiedError, InternalInvariantError, InternalInvertibilityError
+from .errors import IdentityFalsifiedError, InternalInvariantError
 from .transfer import Quadruple, check_conditions, power_instance, transfer_drazin
 
 
@@ -60,7 +60,9 @@ def _first_failure(idx: int, q: Quadruple, commutant_samples: int, power_max: in
 
     try:
         outcome = transfer_drazin(q)
-    except (IdentityFalsifiedError, InternalInvertibilityError) as exc:
+    except (IdentityFalsifiedError, InternalInvariantError) as exc:
+        # InternalInvariantError covers the kernel's own self-checks too
+        # (`drazin` verifies every result it returns).
         return Failure(idx, "transfer evaluation", str(exc))
     index_pairs.append((outcome.alpha_index, outcome.beta_index))
 
@@ -85,7 +87,10 @@ def _first_failure(idx: int, q: Quadruple, commutant_samples: int, power_max: in
             return Failure(idx, "core-nilpotent part", f"(beta - beta^2 y)^{k} != 0")
 
     for j in range(commutant_samples):
-        s = random_commutant_element(beta, seed=idx * 1009 + j)
+        try:
+            s = random_commutant_element(beta, seed=idx * 1009 + j)
+        except InternalInvariantError as exc:
+            return Failure(idx, "double commutant", f"sample {j}: {exc}")
         if s * y != y * s:
             return Failure(idx, "double commutant", f"sample {j} does not commute with y")
 

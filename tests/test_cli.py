@@ -54,6 +54,14 @@ def test_drazin_command_bad_input(tmp_path, capsys):
     assert main(["drazin", "--input", nonsquare]) == 2
 
 
+def test_drazin_command_overlong_rational(tmp_path, capsys):
+    # more digits than int() converts by default: bad input, not a traceback
+    bad = tmp_path / "long.json"
+    bad.write_text('{"rows": 1, "cols": 1, "entries": [[["' + "7" * 5000 + '", "0"]]]}')
+    assert main(["drazin", "--input", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_transfer_command_group_mode(tmp_path, capsys):
     path = write_quadruple(tmp_path / "q.json", counterexample_instance())
     assert main(["transfer", "--input", path, "--mode", "group"]) == 0
@@ -96,6 +104,13 @@ def test_gen_command_deterministic(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
     fields, quads = jsonio.corpus_from_obj(json.loads(out1.read_text()))
     assert fields["count"] == 4 and len(quads) == 4
+
+
+def test_gen_command_unwritable_output(tmp_path, capsys):
+    target = tmp_path / "missing-dir" / "c.json"
+    assert main(["gen", "--family", "classic", "--output", str(target)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not target.exists()
 
 
 def test_gen_command_bad_flags(capsys):

@@ -51,6 +51,15 @@ def test_matrix_malformed_rejected(mutate):
         jsonio.matrix_from_obj(obj)
 
 
+@pytest.mark.parametrize("dim", ["rows", "cols"])
+def test_matrix_bool_dimension_rejected(dim):
+    # JSON true is a Python bool, which is an int equal to 1
+    obj = jsonio.matrix_to_obj(Matrix.identity(1))
+    obj[dim] = True
+    with pytest.raises(ParseError):
+        jsonio.matrix_from_obj(obj)
+
+
 def test_matrix_from_non_object():
     with pytest.raises(ParseError):
         jsonio.matrix_from_obj([1, 2])

@@ -1,4 +1,6 @@
-from drazinlab import Quadruple
+import importlib
+
+from drazinlab import InternalInvariantError, Quadruple
 from drazinlab.generators import GeneratorSpec, counterexample_instance, gen_family
 from drazinlab.verify import run_battery, summarize
 from util import as_matrix
@@ -45,3 +47,29 @@ def test_report_serialization_and_summary():
     assert "index pairs" in text
     assert "i(beta) <= i(alpha)+1 holds" in text
     assert "i(alpha) <= i(beta)+1 holds" in text
+
+
+# The package attribute `drazin` is the function, so reach the module by name.
+drazin_module = importlib.import_module("drazinlab.drazin")
+
+
+def _raise_invariant(*args):
+    raise InternalInvariantError("injected kernel fault")
+
+
+def test_drazin_self_check_failure_becomes_record(monkeypatch):
+    monkeypatch.setattr(drazin_module, "_verify_drazin", _raise_invariant)
+    report = run_battery([counterexample_instance()], commutant_samples=2, power_max=1)
+    assert report.total == 1 and report.passed == 0
+    (failure,) = report.failures
+    assert failure.prop == "transfer evaluation"
+    assert "injected kernel fault" in failure.detail
+
+
+def test_commutant_self_check_failure_becomes_record(monkeypatch):
+    monkeypatch.setattr(drazin_module, "commutant_basis", _raise_invariant)
+    report = run_battery([counterexample_instance()], commutant_samples=2, power_max=1)
+    assert report.total == 1 and report.passed == 0
+    (failure,) = report.failures
+    assert failure.prop == "double commutant"
+    assert failure.detail == "sample 0: injected kernel fault"

@@ -59,3 +59,43 @@ def rand_gauss_matrix(rng: random.Random, rows: int, cols: int | None = None) ->
             for _ in range(rows * cols)
         ),
     )
+
+
+# Gaussian-rational list oracle: the same role as the int-list helpers for
+# matrices with rational and complex entries. It computes entry by entry
+# with `GaussianRational` arithmetic on lists of lists, so it shares no code
+# with the library's integer-grid matrix core.
+
+
+def g_mul(a, b):
+    k = len(b)
+    assert len(a[0]) == k
+    return [
+        [sum((a[i][t] * b[t][j] for t in range(k)), GaussianRational(0)) for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+
+
+def g_add(a, b):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def g_rref(a):
+    """(reduced rows, rank, pivot columns) by textbook Gauss-Jordan."""
+    work = [list(row) for row in a]
+    nrows, ncols = len(work), len(work[0])
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, nrows) if work[i][c]), None)
+        if p is None:
+            continue
+        work[r], work[p] = work[p], work[r]
+        inv = GaussianRational(1) / work[r][c]
+        work[r] = [v * inv for v in work[r]]
+        for i in range(nrows):
+            if i != r and work[i][c]:
+                f = work[i][c]
+                work[i] = [v - f * w for v, w in zip(work[i], work[r])]
+        pivots.append(c)
+    return work, len(pivots), tuple(pivots)
