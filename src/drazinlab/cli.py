@@ -27,7 +27,7 @@ from .errors import (
 )
 from .generators import FAMILIES, GeneratorSpec, gen_family
 from .transfer import check_conditions, power_instance, transfer_drazin, transfer_gdrazin, transfer_group
-from .verify import run_battery, summarize
+from .verify import VerifyReport, run_battery, summarize
 
 _TRANSFER_MODES = {
     "gdrazin": transfer_gdrazin,
@@ -36,9 +36,15 @@ _TRANSFER_MODES = {
 }
 
 
-def _print(obj, args) -> None:
-    text = jsonio.dumps_pretty(obj) if args.pretty else jsonio.dumps(obj)
-    print(text)
+def _print(args, to_obj, value, code: int = 0) -> int:
+    """Print to_obj(value) as JSON and return `code`. An entry with more
+    digits than `str` converts is an input error: the input made it so large."""
+    try:
+        obj = to_obj(value)
+    except ValueError as exc:
+        return _fail(f"result too large to print: {exc}", 2)
+    print(jsonio.dumps_pretty(obj) if args.pretty else jsonio.dumps(obj))
+    return code
 
 
 def _fail(message: str, code: int) -> int:
@@ -52,8 +58,7 @@ def _cmd_drazin(args) -> int:
         data = drazin(matrix)
     except (ParseError, ShapeError, OSError) as exc:
         return _fail(str(exc), 2)
-    _print(jsonio.drazin_to_obj(data), args)
-    return 0
+    return _print(args, jsonio.drazin_to_obj, data)
 
 
 def _cmd_transfer(args) -> int:
@@ -67,8 +72,7 @@ def _cmd_transfer(args) -> int:
         return _fail(str(exc), 2)
     except (IdentityFalsifiedError, InternalInvertibilityError) as exc:
         return _fail(f"falsified: {exc}", 1)
-    _print(jsonio.outcome_to_obj(outcome), args)
-    return 0 if outcome.agrees else 1
+    return _print(args, jsonio.outcome_to_obj, outcome, 0 if outcome.agrees else 1)
 
 
 def _cmd_check_conditions(args) -> int:
@@ -77,8 +81,7 @@ def _cmd_check_conditions(args) -> int:
     except (ParseError, ShapeError, OSError) as exc:
         return _fail(str(exc), 2)
     report = check_conditions(quad)
-    _print(jsonio.condition_report_to_obj(report), args)
-    return 0 if report.all_hold else 1
+    return _print(args, jsonio.condition_report_to_obj, report, 0 if report.all_hold else 1)
 
 
 def _cmd_gen(args) -> int:
@@ -110,8 +113,7 @@ def _cmd_power(args) -> int:
         return _fail(str(exc), 2)
     except InternalInvariantError as exc:
         return _fail(f"falsified: {exc}", 1)
-    _print(jsonio.quadruple_to_obj(derived), args)
-    return 0
+    return _print(args, jsonio.quadruple_to_obj, derived)
 
 
 def _cmd_verify(args) -> int:
@@ -121,10 +123,10 @@ def _cmd_verify(args) -> int:
     except ValueError as exc:
         return _fail(str(exc), 2)
     report = run_battery(quads)
-    _print(report.to_obj(), args)
+    code = _print(args, VerifyReport.to_obj, report, 0 if report.ok else 1)
     if not args.json:
         print(summarize(report))
-    return 0 if report.ok else 1
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -18,7 +18,14 @@ class NoGroupInverseError(ArithmeticError):
 
 
 class ConditionsViolatedError(ValueError):
-    """A transfer operation was invoked on a quadruple that fails the side conditions."""
+    """A transfer operation was invoked on a quadruple that fails the side conditions.
+
+    Carries the labels of the failed conditions so callers can report them.
+    """
+
+    def __init__(self, message, labels=()):
+        super().__init__(message)
+        self.labels = tuple(labels)
 
 
 class IdentityFalsifiedError(ArithmeticError):

@@ -5,6 +5,9 @@ with each scalar a pair of rational strings ("-3/2", integers as "4").
 A quadruple is `{"a": .., "b": .., "c": .., "d": ..}`; when "d" is absent
 the loader lifts the triple by setting d := a.
 
+A matrix side over `generators.MAX_SIZE` is refused: exact elimination
+has no cost bound, so the input size bounds a command's run time.
+
 Encoding is deterministic (sorted keys, fixed separators) so that equal
 values serialize byte-for-byte equal.
 """
@@ -16,6 +19,7 @@ from typing import Any
 
 from .drazin import DrazinData
 from .errors import ParseError
+from .generators import MAX_SIZE
 from .matrices import Matrix
 from .scalars import GaussianRational
 from .transfer import ConditionReport, Quadruple, TransferOutcome
@@ -38,6 +42,8 @@ def matrix_from_obj(obj: Any) -> Matrix:
         raise ParseError(f"matrix object missing field: {exc}") from exc
     if not all(type(v) is int and v > 0 for v in (rows, cols)):  # bool is an int
         raise ParseError("matrix dimensions must be positive integers")
+    if max(rows, cols) > MAX_SIZE:
+        raise ParseError(f"matrix is {rows}x{cols}; the largest accepted side is {MAX_SIZE}")
     if not isinstance(entries, list) or len(entries) != rows:
         raise ParseError(f"expected {rows} entry rows")
     flat = []

@@ -290,12 +290,6 @@ class Matrix:
     def T(self) -> "Matrix":
         return self._apply(lambda g: tuple(zip(*g)))
 
-    @property
-    def H(self) -> "Matrix":
-        """Conjugate transpose."""
-        t = self.T
-        return Matrix._make(t.den, t.re, None if t.im is None else _gscale(t.im, -1))
-
     # -- structural helpers --------------------------------------------------
 
     def take_columns(self, indices: Sequence[int]) -> "Matrix":
@@ -510,39 +504,40 @@ def null_space_basis(a: Matrix) -> list[Matrix]:
     return basis
 
 
-def solve(a: Matrix, b: Matrix) -> Matrix | None:
-    """One exact solution of a x = b (free variables set to 0), or None."""
-    if a.rows != b.rows:
-        raise ShapeError("solve requires matching row counts")
+def _read_off(a: Matrix, b: Matrix) -> tuple[Matrix, bool]:
+    """rref([a | b]) read as an a.cols x b.cols matrix X, and whether a
+    pivot fell in the right block (if not, a X = b). Row pc of X is the
+    right block of the pivot row at column pc of a; other rows are zero."""
     reduced, _, pivots = rref(a.hstack(b))
-    if any(pc >= a.cols for pc in pivots):
-        return None
+    left = [pc for pc in pivots if pc < a.cols]
 
     def place(g):
         rows = [(0,) * b.cols] * a.cols
-        for r, pc in enumerate(pivots):
+        for r, pc in enumerate(left):
             rows[pc] = g[r][a.cols :]
         return tuple(rows)
 
     im = None if reduced.im is None else place(reduced.im)
-    return Matrix._make(reduced.den, place(reduced.re), im)
+    return Matrix._make(reduced.den, place(reduced.re), im), len(left) < len(pivots)
+
+
+def solve(a: Matrix, b: Matrix) -> Matrix | None:
+    """One exact solution of a x = b (free variables set to 0), or None."""
+    if a.rows != b.rows:
+        raise ShapeError("solve requires matching row counts")
+    x, inconsistent = _read_off(a, b)
+    return None if inconsistent else x
 
 
 def one_inverse(a: Matrix) -> Matrix:
-    """A {1}-inverse: G with a G a = a, via the full-rank factorization a = C F.
+    """A {1}-inverse: G with a G a = a, read off rref([a | I]).
 
-    C holds the pivot columns of a and F the nonzero rows of rref(a); both
-    Gram matrices F F* and C* C are invertible because C has full column
-    rank and F full row rank, which makes G = F*(F F*)^-1 (C* C)^-1 C* a
-    genuine {1}-inverse (in fact the Moore-Penrose inverse, but only the
-    a G a = a property is relied on).
+    The right block of rref([a | I]) is an invertible E with E a = rref(a);
+    its first rank(a) rows, placed at the pivot columns of a, form G
+    (Ben-Israel and Greville, Generalized Inverses, ch. 1). Only
+    a G a = a is relied on, and it is checked.
     """
-    reduced, rk, pivots = rref(a)
-    if rk == 0:
-        return Matrix.zeros(a.cols, a.rows)
-    c = a.take_columns(pivots)
-    f = reduced.take_rows(range(rk))
-    g = f.H * inverse(f * f.H) * inverse(c.H * c) * c.H
+    g, _ = _read_off(a, Matrix.identity(a.rows))
     if a * g * a != a:
         raise InternalInvariantError("one_inverse failed its defining identity")
     return g

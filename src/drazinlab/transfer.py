@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from math import comb
 
-from .drazin import DrazinData, drazin, index_of
+from .drazin import DrazinData, drazin
 from .errors import (
     ConditionsViolatedError,
     IdentityFalsifiedError,
@@ -81,19 +81,6 @@ class ConditionReport:
     @property
     def all_hold(self) -> bool:
         return all(self.holds)
-
-    def _one(self, i: int):
-        return self.residuals[i].is_zero(), self.residuals[i]
-
-    # Positional accessors for the common four-condition reports.
-    cond1 = property(lambda self: self._one(0)[0])
-    cond2 = property(lambda self: self._one(1)[0])
-    cond3 = property(lambda self: self._one(2)[0])
-    cond4 = property(lambda self: self._one(3)[0])
-    residual1 = property(lambda self: self._one(0)[1])
-    residual2 = property(lambda self: self._one(1)[1])
-    residual3 = property(lambda self: self._one(2)[1])
-    residual4 = property(lambda self: self._one(3)[1])
 
 
 def check_conditions(q: Quadruple) -> ConditionReport:
@@ -223,7 +210,7 @@ def _require_conditions(q: Quadruple) -> None:
     report = check_conditions(q)
     if not report.all_hold:
         failed = [lab for lab, ok in zip(report.labels, report.holds) if not ok]
-        raise ConditionsViolatedError(f"side conditions fail: {'; '.join(failed)}")
+        raise ConditionsViolatedError(f"side conditions fail: {'; '.join(failed)}", failed)
 
 
 def _evaluate_transfer(q: Quadruple) -> TransferOutcome:
@@ -285,10 +272,9 @@ def transfer_group(q: Quadruple) -> TransferOutcome:
     group inverse and that the formula reproduces it exactly.
     """
     _require_conditions(q)
-    alpha = Matrix.identity(q.size) - q.b * q.d
-    if index_of(alpha) > 1:
-        raise NoGroupInverseError("1-bd has index >= 2, group transfer refused")
     outcome = _evaluate_transfer(q)
+    if outcome.alpha_index > 1:
+        raise NoGroupInverseError("1-bd has index >= 2, group transfer refused")
     if outcome.beta_index > 1:
         return replace(outcome, agrees=False)
     if outcome.agrees:
@@ -301,15 +287,24 @@ def transfer_group(q: Quadruple) -> TransferOutcome:
 def power_instance(q: Quadruple, n: int) -> Quadruple:
     """Rebuild (a, b', c', d) so that 1 - a c' = (1-ac)^n and 1 - b' d = (1-bd)^n.
 
-    c' = sum_{i=1..n} (-1)^(i+1) C(n,i) c (ac)^(i-1) and symmetrically
-    b' = sum_{i=1..n} (-1)^(i+1) C(n,i) (bd)^(i-1) b; the binomial signs are
-    pinned by the n = 1 case, where the sums must collapse to c and b. The
-    derived quadruple satisfies the side conditions again, which is checked
-    before returning.
+    Raises ConditionsViolatedError when q fails the side conditions; the
+    construction itself is `derive_power`.
     """
     if n < 1:
         raise ValueError("power construction needs n >= 1")
     _require_conditions(q)
+    return derive_power(q, n)
+
+
+def derive_power(q: Quadruple, n: int) -> Quadruple:
+    """The power construction for a quadruple known to satisfy the side conditions.
+
+    c' = sum_{i=1..n} (-1)^(i+1) C(n,i) c (ac)^(i-1) and symmetrically
+    b' = sum_{i=1..n} (-1)^(i+1) C(n,i) (bd)^(i-1) b; the binomial signs are
+    pinned by the n = 1 case, where the sums must collapse to c and b. Both
+    power identities, and the side conditions of the derived quadruple, are
+    checked before returning.
+    """
     a, b, c, d = q.a, q.b, q.c, q.d
     ac = a * c
     bd = b * d

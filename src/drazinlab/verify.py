@@ -1,11 +1,18 @@
 """The property battery run over generated corpora.
 
-For each quadruple the battery checks, in order: the four side conditions,
-exact transfer agreement for the Drazin data of 1 - ac, the defining
-equations of the transferred value, nilpotency of the core-nilpotent part
-at the recorded index, commutation with sampled commutant elements (the
-testable stand-in for double-commutant membership), the index bound in
-both directions, and the power construction for small exponents.
+Each fact about an instance is established once, and every check can fail.
+Per quadruple, in order:
+
+* side conditions -- checked inside `transfer_drazin`, the one transfer call.
+* transfer evaluation -- `transfer_drazin` raised: an index bound failed,
+  the resolvent was singular, or a kernel self-check failed. `drazin`
+  checks each result against the defining equations and the core-nilpotent
+  part at the index, so a transferred value equal to it needs no more.
+* transfer agreement -- the formula's value differs from the direct one.
+* double commutant -- every element of `commutant_basis(beta)` must commute
+  with beta and with the transferred value; the basis spans the commutant.
+* power construction -- `derive_power` for n = 1..POWER_MAX, and n = 1
+  must return the quadruple verbatim.
 
 An instance contributes one failure record at most: the first property
 that breaks it. The index pair (i(1-bd), i(1-ac)) of every instance that
@@ -16,9 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .drazin import random_commutant_element
-from .errors import IdentityFalsifiedError, InternalInvariantError
-from .transfer import Quadruple, check_conditions, power_instance, transfer_drazin
+from .drazin import commutant_basis
+from .errors import ConditionsViolatedError, IdentityFalsifiedError, InternalInvariantError
+from .transfer import Quadruple, derive_power, transfer_drazin
+
+# Largest exponent of the power construction the battery checks.
+POWER_MAX = 3
 
 
 @dataclass(frozen=True)
@@ -51,58 +61,28 @@ class VerifyReport:
         }
 
 
-def _first_failure(idx: int, q: Quadruple, commutant_samples: int, power_max: int,
-                   index_pairs: list[tuple[int, int]]) -> Failure | None:
-    report = check_conditions(q)
-    if not report.all_hold:
-        bad = [lab for lab, ok in zip(report.labels, report.holds) if not ok]
-        return Failure(idx, "side conditions", "; ".join(bad))
-
+def _first_failure(idx: int, q: Quadruple, index_pairs: list[tuple[int, int]]) -> Failure | None:
     try:
         outcome = transfer_drazin(q)
+    except ConditionsViolatedError as exc:
+        return Failure(idx, "side conditions", "; ".join(exc.labels))
     except (IdentityFalsifiedError, InternalInvariantError) as exc:
-        # InternalInvariantError covers the kernel's own self-checks too
-        # (`drazin` verifies every result it returns).
         return Failure(idx, "transfer evaluation", str(exc))
     index_pairs.append((outcome.alpha_index, outcome.beta_index))
 
     if not outcome.agrees:
         return Failure(idx, "transfer agreement", "formula and direct Drazin inverse differ")
 
-    beta, y, k = outcome.beta, outcome.beta_drazin.dinv, outcome.beta_index
-    if y * beta != beta * y:
-        return Failure(idx, "Drazin equation", "y does not commute with beta")
-    if y * beta * y != y:
-        return Failure(idx, "Drazin equation", "y beta y != y")
-    bk = beta**k
-    if bk * beta * y != bk:
-        return Failure(idx, "Drazin equation", "beta^(k+1) y != beta^k")
-
-    core_nil = beta - beta * beta * y
-    if k == 0:
-        if not core_nil.is_zero():
-            return Failure(idx, "core-nilpotent part", "nonzero at index 0")
-    else:
-        if not (core_nil**k).is_zero():
-            return Failure(idx, "core-nilpotent part", f"(beta - beta^2 y)^{k} != 0")
-
-    for j in range(commutant_samples):
-        try:
-            s = random_commutant_element(beta, seed=idx * 1009 + j)
-        except InternalInvariantError as exc:
-            return Failure(idx, "double commutant", f"sample {j}: {exc}")
+    beta, y = outcome.beta, outcome.beta_drazin.dinv
+    for j, s in enumerate(commutant_basis(beta)):
+        if s * beta != beta * s:
+            return Failure(idx, "double commutant", f"basis element {j} does not commute with beta")
         if s * y != y * s:
-            return Failure(idx, "double commutant", f"sample {j} does not commute with y")
+            return Failure(idx, "double commutant", f"basis element {j} does not commute with y")
 
-    if abs(outcome.alpha_index - outcome.beta_index) > 1:
-        return Failure(
-            idx, "index bound",
-            f"|i(alpha) - i(beta)| = {abs(outcome.alpha_index - outcome.beta_index)}",
-        )
-
-    for n in range(1, power_max + 1):
+    for n in range(1, POWER_MAX + 1):
         try:
-            derived = power_instance(q, n)
+            derived = derive_power(q, n)
         except InternalInvariantError as exc:
             return Failure(idx, "power construction", f"n={n}: {exc}")
         if n == 1 and derived != q:
@@ -110,11 +90,10 @@ def _first_failure(idx: int, q: Quadruple, commutant_samples: int, power_max: in
     return None
 
 
-def run_battery(quads: list[Quadruple], commutant_samples: int = 10,
-                power_max: int = 3) -> VerifyReport:
+def run_battery(quads: list[Quadruple]) -> VerifyReport:
     report = VerifyReport(total=len(quads))
     for idx, q in enumerate(quads):
-        failure = _first_failure(idx, q, commutant_samples, power_max, report.index_pairs)
+        failure = _first_failure(idx, q, report.index_pairs)
         if failure is None:
             report.passed += 1
         else:

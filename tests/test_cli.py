@@ -4,7 +4,7 @@ import pytest
 
 from drazinlab import Matrix, jsonio
 from drazinlab.cli import main
-from drazinlab.generators import counterexample_instance
+from drazinlab.generators import MAX_SIZE, counterexample_instance
 from drazinlab.transfer import power_instance
 from util import as_matrix
 
@@ -59,6 +59,26 @@ def test_drazin_command_overlong_rational(tmp_path, capsys):
     bad = tmp_path / "long.json"
     bad.write_text('{"rows": 1, "cols": 1, "entries": [[["' + "7" * 5000 + '", "0"]]]}')
     assert main(["drazin", "--input", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_drazin_command_result_too_large_to_print(tmp_path, capsys):
+    # inputs under the digit limit whose inverse has denominators over it
+    big = str(10**2500)
+    m = tmp_path / "big.json"
+    m.write_text(
+        '{"rows": 2, "cols": 2, "entries": [[["%s", "0"], ["1", "0"]], [["1", "0"], ["%s", "0"]]]}'
+        % (big, big)
+    )
+    assert main(["drazin", "--input", str(m)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def test_drazin_command_oversized_matrix(tmp_path, capsys):
+    path = write_matrix(tmp_path / "m.json", Matrix.identity(MAX_SIZE + 1))
+    assert main(["drazin", "--input", path]) == 2
     assert capsys.readouterr().err.startswith("error:")
 
 

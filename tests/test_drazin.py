@@ -1,9 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drazinlab import (
+    GaussianRational,
     Matrix,
+    block_diag,
     NoGroupInverseError,
     ShapeError,
     drazin,
@@ -16,7 +20,15 @@ from drazinlab import (
     rank,
     random_commutant_element,
 )
-from util import as_matrix, assert_matrix_equals, rand_gauss_matrix, rand_int_matrix, rand_rank_matrix
+from util import (
+    RATIONALS,
+    as_matrix,
+    assert_matrix_equals,
+    grids,
+    rand_gauss_matrix,
+    rand_int_matrix,
+    rand_rank_matrix,
+)
 
 J2 = as_matrix([[0, 1], [0, 0]])
 
@@ -180,3 +192,39 @@ def test_group_inverse_exists_iff_index_at_most_one():
         else:
             with pytest.raises(NoGroupInverseError):
                 group_inverse(a)
+
+
+@st.composite
+def drazin_inputs(draw):
+    """At most 4x4 over Q(i). Two draws in three have an index >= 1: either
+    a low-rank one, or P diag(C, N) P^-1 with N strictly upper triangular
+    (index up to the size of N) and P unit lower times unit upper."""
+    n = draw(st.integers(1, 4))
+    style = draw(st.sampled_from(("dense", "low_rank", "nilpotent_part")))
+    if style == "dense":
+        return as_matrix(draw(grids(n, n)))
+    cell = st.builds(GaussianRational, RATIONALS, RATIONALS | st.just(0))
+    if style == "low_rank":
+        r = draw(st.integers(0, n - 1))
+        if r == 0:
+            return Matrix.zeros(n, n)
+        return as_matrix(draw(grids(n, r))) * as_matrix(draw(grids(r, n)))
+    def upper(size, diagonal):
+        return Matrix.from_rows(
+            [[draw(cell) if j > i else diagonal * (i == j) for j in range(size)]
+             for i in range(size)]
+        )
+
+    k = draw(st.integers(0, n - 1))
+    nil = upper(n - k, 0)
+    core = block_diag(as_matrix(draw(grids(k, k))), nil) if k else nil
+    p = upper(n, 1).T * upper(n, 1)
+    return p * core * inverse(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(drazin_inputs())
+def test_drazin_matches_oracle_property(a):
+    data, oracle = drazin(a), oracle_drazin(a)
+    assert data.index == oracle.index
+    assert data.dinv == oracle.dinv

@@ -1,11 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drazinlab import GaussianRational, Matrix, ParseError, Quadruple
 from drazinlab import jsonio
-from drazinlab.generators import GeneratorSpec, counterexample_instance, gen_family
-from util import as_matrix
+from drazinlab.generators import MAX_SIZE, GeneratorSpec, counterexample_instance, gen_family
+from util import DIMS, as_matrix, grids
 
 
 def test_matrix_roundtrip_bit_exact():
@@ -99,3 +101,27 @@ def test_corpus_roundtrip():
 def test_dumps_is_deterministic():
     obj = {"b": 1, "a": [3, 2]}
     assert jsonio.dumps(obj) == '{"a":[3,2],"b":1}'
+
+
+def test_matrix_larger_than_max_size_rejected():
+    obj = jsonio.matrix_to_obj(Matrix.zeros(1, MAX_SIZE + 1))
+    with pytest.raises(ParseError):
+        jsonio.matrix_from_obj(obj)
+    assert jsonio.matrix_from_obj(jsonio.matrix_to_obj(Matrix.zeros(MAX_SIZE, 1))).is_zero()
+
+
+@settings(max_examples=40, deadline=None)
+@given(grids())
+def test_matrix_json_round_trip_property(rows):
+    m = as_matrix(rows)
+    text = jsonio.dumps(jsonio.matrix_to_obj(m))
+    assert jsonio.matrix_from_obj(jsonio.loads(text)) == m
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_quadruple_json_round_trip_property(data):
+    n = data.draw(DIMS)
+    q = Quadruple(*(as_matrix(data.draw(grids(n, n))) for _ in range(4)))
+    text = jsonio.dumps(jsonio.quadruple_to_obj(q))
+    assert jsonio.quadruple_from_obj(jsonio.loads(text)) == q

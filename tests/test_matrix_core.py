@@ -20,29 +20,9 @@ from drazinlab import (
     rref,
     solve,
 )
-from util import g_add, g_mul, g_rref
+from util import DIMS, g_add, g_mul, g_rref, grids
 
 core = settings(max_examples=80, deadline=None)
-
-RATIONALS = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 1, 2, 3, 6)))
-DIMS = st.integers(1, 5)
-
-
-@st.composite
-def grids(draw, rows=None, cols=None):
-    """Row lists of GaussianRational; sometimes real-only, sometimes low rank."""
-    rows = draw(DIMS) if rows is None else rows
-    cols = draw(DIMS) if cols is None else cols
-    im = RATIONALS if draw(st.booleans()) else st.just(Fraction(0))
-    cell = st.builds(GaussianRational, RATIONALS, im)
-
-    def block(r, c):
-        return [[draw(cell) for _ in range(c)] for _ in range(r)]
-
-    if draw(st.booleans()):
-        inner = draw(st.integers(1, max(1, min(rows, cols) - 1)))
-        return g_mul(block(rows, inner), block(inner, cols))
-    return block(rows, cols)
 
 
 def as_matrix(rows):
@@ -133,7 +113,6 @@ def test_canonical_form_however_built(a, k):
         m.scale(k).scale(Fraction(1, k)),
         m.scale(GaussianRational(0, 1)).scale(GaussianRational(0, -1)),
         m.T.T,
-        m.H.H,
         m + Matrix.zeros(m.rows, m.cols),
         -(-m),
     ):

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drazinlab import (
     ConditionsViolatedError,
@@ -24,7 +26,7 @@ from drazinlab import (
     transfer_gdrazin,
     transfer_group,
 )
-from drazinlab.generators import GeneratorSpec, counterexample_instance, gen_family
+from drazinlab.generators import FAMILIES, GeneratorSpec, counterexample_instance, gen_family
 from util import as_matrix, imat_mul, imat_sub, rand_int_matrix
 
 # a fixed dense quadruple that satisfies none of the identities
@@ -45,19 +47,18 @@ def test_counterexample_conditions_hold():
     report = check_conditions(counterexample_instance())
     assert report.all_hold
     assert report.holds == (True, True, True, True)
-    assert report.cond1 and report.cond2 and report.cond3 and report.cond4
 
 
 def test_generic_quadruple_fails_with_frozen_residual():
     report = check_conditions(GENERIC)
     assert not report.all_hold
-    # independent int-arithmetic oracle for residual1 = (ac)^2 - (db)(ac)
+    # independent int-arithmetic oracle for residuals[0] = (ac)^2 - (db)(ac)
     a, b = [[1, 2], [0, 1]], [[1, 1], [2, 0]]
     c, d = [[0, 1], [1, 1]], [[2, 1], [1, 1]]
     ac, db = imat_mul(a, c), imat_mul(d, b)
     expected = imat_sub(imat_mul(ac, ac), imat_mul(db, ac))
-    assert report.residual1 == as_matrix(expected)
-    assert not report.residual1.is_zero()
+    assert report.residuals[0] == as_matrix(expected)
+    assert report.holds[0] is False
 
 
 def test_condition_symmetry_under_reversal():
@@ -331,6 +332,18 @@ def test_power_rejects():
         power_instance(counterexample_instance(), 0)
     with pytest.raises(ConditionsViolatedError):
         power_instance(GENERIC, 2)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from([f for f in FAMILIES if f != "counterexample"]),
+    st.integers(2, 3),
+    st.integers(0, 10**6),
+)
+def test_generated_quadruple_holds_and_powers_verbatim_property(family, size, seed):
+    (q,) = gen_family(GeneratorSpec(family, size, seed=seed, count=1))
+    assert check_conditions(q).all_hold
+    assert power_instance(q, 1) == q
 
 
 def test_lifted_triple_sets_d_to_a():

@@ -1,6 +1,7 @@
 import importlib
 
-from drazinlab import InternalInvariantError, Quadruple
+from drazinlab import InternalInvariantError, Matrix, Quadruple, commutant_basis
+from drazinlab import verify as verify_module
 from drazinlab.generators import GeneratorSpec, counterexample_instance, gen_family
 from drazinlab.verify import run_battery, summarize
 from util import as_matrix
@@ -10,7 +11,7 @@ def test_battery_passes_on_generated_corpus():
     quads = gen_family(GeneratorSpec("classic", 3, seed=6, count=5)) + gen_family(
         GeneratorSpec("zero_padded_nilpotent", 3, seed=6, count=3)
     )
-    report = run_battery(quads, commutant_samples=5, power_max=3)
+    report = run_battery(quads)
     assert report.ok
     assert report.total == 8 and report.passed == 8
     assert len(report.index_pairs) == 8
@@ -24,12 +25,15 @@ def test_battery_records_condition_failures():
         as_matrix([[0, 1], [1, 1]]),
         as_matrix([[2, 1], [1, 1]]),
     )
-    report = run_battery([counterexample_instance(), bad], commutant_samples=2, power_max=1)
+    report = run_battery([counterexample_instance(), bad])
     assert not report.ok
     assert report.total == 2 and report.passed == 1
     assert len(report.failures) == 1
     assert report.failures[0].instance == 1
     assert report.failures[0].prop == "side conditions"
+    assert report.failures[0].detail == (
+        "(ac)^2 = (db)(ac); (db)^2 = (ac)(db); b(ac)a = b(db)a; c(ac)d = c(db)d"
+    )
     # the bad instance never reached the transfer stage
     assert len(report.index_pairs) == 1
     assert report.passed + len(report.failures) == report.total
@@ -37,7 +41,7 @@ def test_battery_records_condition_failures():
 
 def test_report_serialization_and_summary():
     quads = [counterexample_instance()]
-    report = run_battery(quads, commutant_samples=2, power_max=2)
+    report = run_battery(quads)
     obj = report.to_obj()
     assert obj["total"] == 1 and obj["passed"] == 1
     assert obj["failures"] == []
@@ -59,7 +63,7 @@ def _raise_invariant(*args):
 
 def test_drazin_self_check_failure_becomes_record(monkeypatch):
     monkeypatch.setattr(drazin_module, "_verify_drazin", _raise_invariant)
-    report = run_battery([counterexample_instance()], commutant_samples=2, power_max=1)
+    report = run_battery([counterexample_instance()])
     assert report.total == 1 and report.passed == 0
     (failure,) = report.failures
     assert failure.prop == "transfer evaluation"
@@ -67,9 +71,19 @@ def test_drazin_self_check_failure_becomes_record(monkeypatch):
 
 
 def test_commutant_self_check_failure_becomes_record(monkeypatch):
-    monkeypatch.setattr(drazin_module, "commutant_basis", _raise_invariant)
-    report = run_battery([counterexample_instance()], commutant_samples=2, power_max=1)
+    # classic shape (c := b, d := a), so the side conditions hold
+    a, b = as_matrix([[1, 0], [0, 0]]), as_matrix([[1, 1], [0, 0]])
+    q = Quadruple(a, b, b, a)
+    beta = Matrix.identity(2) - a * b
+    stray = as_matrix([[0, 1], [0, 0]])
+    assert stray * beta != beta * stray
+
+    def basis_with_stray(a):
+        return commutant_basis(a) + (stray,)
+
+    monkeypatch.setattr(verify_module, "commutant_basis", basis_with_stray)
+    report = run_battery([q])
     assert report.total == 1 and report.passed == 0
     (failure,) = report.failures
     assert failure.prop == "double commutant"
-    assert failure.detail == "sample 0: injected kernel fault"
+    assert "does not commute with beta" in failure.detail

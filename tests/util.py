@@ -9,6 +9,8 @@ cross-check the implementation.
 import random
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from drazinlab import GaussianRational, Matrix
 
 
@@ -99,3 +101,26 @@ def g_rref(a):
                 work[i] = [v - f * w for v, w in zip(work[i], work[r])]
         pivots.append(c)
     return work, len(pivots), tuple(pivots)
+
+
+# Hypothesis strategies shared by the property tests.
+
+RATIONALS = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 1, 2, 3, 6)))
+DIMS = st.integers(1, 5)
+
+
+@st.composite
+def grids(draw, rows=None, cols=None):
+    """Row lists of GaussianRational; sometimes real-only, sometimes low rank."""
+    rows = draw(DIMS) if rows is None else rows
+    cols = draw(DIMS) if cols is None else cols
+    im = RATIONALS if draw(st.booleans()) else st.just(Fraction(0))
+    cell = st.builds(GaussianRational, RATIONALS, im)
+
+    def block(r, c):
+        return [[draw(cell) for _ in range(c)] for _ in range(r)]
+
+    if draw(st.booleans()):
+        inner = draw(st.integers(1, max(1, min(rows, cols) - 1)))
+        return g_mul(block(rows, inner), block(inner, cols))
+    return block(rows, cols)
