@@ -141,10 +141,9 @@ def oracle_drazin(a: Matrix) -> DrazinData:
         raise InternalInvariantError("range and kernel of a^k do not complement")
     p_inv = inverse(p)
     m = p_inv * a * p
-    for i in range(n):
-        for j in range(n):
-            if (i < r) != (j < r) and not m.entry(i, j).is_zero():
-                raise InternalInvariantError("similarity did not block-diagonalize")
+    for g in (m.re, m.im or ()):
+        if any(map(any, (row[r:] for row in g[:r]))) or any(map(any, (row[:r] for row in g[r:]))):
+            raise InternalInvariantError("similarity did not block-diagonalize")
     # k >= 1 forces r < n, so the nilpotent tail is always present.
     tail = m.take_rows(range(r, n)).take_columns(range(r, n))
     if not (tail**k).is_zero():

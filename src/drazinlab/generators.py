@@ -7,7 +7,11 @@ Families:
 * ``classic``          -- random (a, b) lifted by c := b, d := a; the four
   conditions then hold identically.
 * ``strong``           -- random a, d upper triangular and random b; c is
-  solved exactly from the linear system acd = dbd, aca = dba.
+  solved exactly from acd = dbd, aca = dba, i.e. a c N = d b N with
+  N = [d | a], as c = G_a (d b N) G_{N^T}^T from the {1}-inverses of a and
+  N^T (two eliminations of n x 2n and 2n x 3n instead of one of the
+  2n^2 x n^2 Kronecker system); a draw is kept when that c satisfies the
+  premise.
 * ``triple_lift``      -- random triples with c = b + (kernel of a) noise,
   so ab = ac, lifted by d := a.
 * ``zero_padded_nilpotent`` -- a conjugated unipotent core forcing
@@ -26,7 +30,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import GenerationExhaustedError, InternalInvariantError
-from .matrices import Matrix, block_diag, inverse, kron, null_space_basis, solve
+from .matrices import Matrix, block_diag, inverse, null_space_basis, one_inverse
 from .transfer import Quadruple, check_conditions
 
 FAMILIES = (
@@ -162,12 +166,8 @@ def _gen_strong(n: int, rng: random.Random, max_attempts: int) -> Quadruple:
         d = _rand_upper_triangular(n, rng)
         b = _rand_matrix(n, rng, -2, 2)
         c = _solve_strong_for_c(a, b, d)
-        if c is None:
-            continue
-        q = Quadruple(a, b, c, d)
-        if a * c * d != d * b * d or d * b * a != a * c * a:
-            raise InternalInvariantError("solved c fails the premise it was solved from")
-        return q
+        if c is not None:
+            return Quadruple(a, b, c, d)
     raise GenerationExhaustedError(
         f"no solvable (a, d, b) for the strong premise in {max_attempts} attempts"
     )
@@ -176,16 +176,19 @@ def _gen_strong(n: int, rng: random.Random, max_attempts: int) -> Quadruple:
 def _solve_strong_for_c(a: Matrix, b: Matrix, d: Matrix) -> Matrix | None:
     """Exact solution c of a c d = d b d and a c a = d b a, or None.
 
-    Both equations are linear in c once a, b, d are fixed: the coefficient
-    of c[p][q] in (a c m)[i][j] is a[i][p] * m[q][j].
+    Both equations together read a c N = d b N with N = [d | a]; flattened
+    row-major, c's coefficient matrix is a (x) N^T up to the order of its
+    rows. The RREF of a Kronecker product is the Kronecker product of the
+    two RREFs with the zero rows dropped, so the solution `solve` would read
+    off that n^2-unknown system (every free variable 0) is
+    G_a (d b N) G_{N^T}^T, with G the {1}-inverses that `one_inverse` reads
+    off rref([X | I]); it solves the system exactly when the system is
+    consistent, so the premise itself is the acceptance test.
     """
-    n = a.rows
-    system = kron(a, d.T).vstack(kron(a, a.T))
-    rhs = (d * b * d).reshape(n * n, 1).vstack((d * b * a).reshape(n * n, 1))
-    solution = solve(system, rhs)
-    if solution is None:
-        return None
-    return solution.reshape(n, n)
+    ends = d.hstack(a)
+    dbn = d * b * ends
+    c = one_inverse(a) * dbn * one_inverse(ends.T).T
+    return c if a * c * ends == dbn else None
 
 
 def _gen_triple_lift(n: int, rng: random.Random) -> Quadruple:

@@ -2,6 +2,11 @@
 
 A matrix is `{"rows": n, "cols": m, "entries": [[["re","im"], ...], ...]}`
 with each scalar a pair of rational strings ("-3/2", integers as "4").
+The codec works on the matrix's integer grids: encoding writes each
+entry (v / den) in lowest terms, the text `str(Fraction)` would give, and
+decoding validates each string with `scalars._parse_ratio` and builds the
+grids from the integer pairs in one step. No per-entry `Fraction` or
+`GaussianRational` is made on either side.
 A quadruple is `{"a": .., "b": .., "c": .., "d": ..}`; when "d" is absent
 the loader lifts the triple by setting d := a.
 
@@ -15,22 +20,36 @@ values serialize byte-for-byte equal.
 from __future__ import annotations
 
 import json
+from math import gcd
 from typing import Any
 
 from .drazin import DrazinData
 from .errors import ParseError
 from .generators import MAX_SIZE
 from .matrices import Matrix
-from .scalars import GaussianRational
+from .scalars import _parse_ratio
 from .transfer import ConditionReport, Quadruple, TransferOutcome
 
 
+def _ratio_text(v: int, den: int) -> str:
+    """v / den in lowest terms as 'p/q', or 'p' when q is 1: the text
+    str(Fraction(v, den)) gives, for den > 0."""
+    g = gcd(v, den)
+    if g == den:
+        return str(v // g)
+    return f"{v // g}/{den // g}"
+
+
 def matrix_to_obj(m: Matrix) -> dict[str, Any]:
-    return {
-        "rows": m.rows,
-        "cols": m.cols,
-        "entries": [[e.to_pair() for e in m.row_list(i)] for i in range(m.rows)],
-    }
+    den = m.den
+    text = str if den == 1 else (lambda v: _ratio_text(v, den))
+    if m.im is None:
+        entries = [[[text(v), "0"] for v in row] for row in m.re]
+    else:
+        entries = [
+            [[text(v), text(w)] for v, w in zip(row, im_row)] for row, im_row in zip(m.re, m.im)
+        ]
+    return {"rows": m.rows, "cols": m.cols, "entries": entries}
 
 
 def matrix_from_obj(obj: Any) -> Matrix:
@@ -46,15 +65,17 @@ def matrix_from_obj(obj: Any) -> Matrix:
         raise ParseError(f"matrix is {rows}x{cols}; the largest accepted side is {MAX_SIZE}")
     if not isinstance(entries, list) or len(entries) != rows:
         raise ParseError(f"expected {rows} entry rows")
-    flat = []
+    parts = []
     for row in entries:
         if not isinstance(row, list) or len(row) != cols:
             raise ParseError(f"each entry row must list {cols} scalars")
         for cell in row:
             if not isinstance(cell, list) or len(cell) != 2:
                 raise ParseError("each scalar must be a [re, im] pair of strings")
-            flat.append(GaussianRational.from_strings(cell[0], cell[1]))
-    return Matrix(rows, cols, flat)
+            re_num, re_den = _parse_ratio(cell[0])
+            im_num, im_den = _parse_ratio(cell[1])
+            parts.append((re_num * im_den, im_num * re_den, re_den * im_den))
+    return Matrix._from_parts(rows, cols, parts)
 
 
 def quadruple_to_obj(q: Quadruple) -> dict[str, Any]:

@@ -20,8 +20,10 @@ of a matrix is unique, so it, and everything read off it (inverse, solve,
 null-space basis, {1}-inverse), is the same exact value whatever route the
 elimination takes.
 
-`GaussianRational` is the scalar only at the boundary: the constructor,
-`entry`, `row_list`, `to_rows` and `entries`.
+`GaussianRational` is the scalar only at the API boundary: the
+constructor, `entry`, `row_list`, `to_rows` and `entries`. The JSON codec
+builds a matrix from integer (re, im, den) triples through `_from_parts`,
+the same integer-level constructor that `Matrix(rows, cols, entries)` uses.
 """
 
 from __future__ import annotations
@@ -131,9 +133,20 @@ class Matrix:
     __slots__ = ("rows", "cols", "den", "re", "im")
 
     def __init__(self, rows: int, cols: int, entries: Iterable):
+        self._fill(rows, cols, map(_scalar_ints, entries))
+
+    @classmethod
+    def _from_parts(cls, rows: int, cols: int, parts: Iterable[tuple[int, int, int]]) -> "Matrix":
+        """Matrix from row-major (re, im, den) integer triples, each den > 0;
+        entry k is (re + im i) / den and need not be in lowest terms."""
+        m = cls.__new__(cls)
+        m._fill(rows, cols, parts)
+        return m
+
+    def _fill(self, rows, cols, parts) -> None:
         if rows <= 0 or cols <= 0:
             raise ShapeError(f"matrix dimensions must be positive, got {rows}x{cols}")
-        parts = [_scalar_ints(e) for e in entries]
+        parts = list(parts)
         if len(parts) != rows * cols:
             raise ShapeError(
                 f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(parts)}"

@@ -5,9 +5,11 @@ positive denominator, so equality on a pair of fractions is structural and
 needs no tolerance anywhere. Values are immutable by convention: no method
 mutates, and instances hash by value.
 
-`GaussianRational` is the scalar of the public and JSON boundary: matrix
-entries are read and written as these values. Matrix arithmetic itself
-runs on integer grids (see matrices.py) and does not use this class.
+`GaussianRational` is the scalar of the public API: matrix entries are
+read and written as these values. Matrix arithmetic runs on integer grids
+(see matrices.py) and the JSON codec reads and writes those grids
+directly (see jsonio.py); neither uses this class. Rational strings, from
+the CLI or from JSON, are validated in one place, `_parse_ratio`.
 """
 
 from __future__ import annotations
@@ -17,19 +19,32 @@ from fractions import Fraction
 
 from .errors import ParseError
 
-_RATIONAL_RE = _re.compile(r"^[+-]?\d+(/\d+)?$")
+# ASCII digits only: `\d` would also admit other scripts' digits, which int()
+# reads but the zero-denominator test below does not recognise as zeros.
+_RATIONAL_RE = _re.compile(r"[+-]?\d+(/\d+)?", _re.ASCII)
+
+
+def _parse_ratio(text: str) -> tuple[int, int]:
+    """(num, den) of a rational string like '-3/2' or '4', with den > 0 and
+    the pair not reduced; reject anything else.
+
+    The one validator of rational strings: `parse_rational` and the JSON
+    decoder both read through it.
+    """
+    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
+        raise ParseError(f"malformed rational {text!r} (expected 'p' or 'p/q')")
+    num, _, den = text.partition("/")
+    if den and not den.lstrip("0"):
+        raise ParseError(f"zero denominator in {text!r}")
+    try:
+        return int(num), int(den) if den else 1
+    except ValueError as exc:  # more digits than int() converts
+        raise ParseError(f"rational too long ({len(text)} characters): {exc}") from exc
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse a rational string like '-3/2' or '4'; reject anything else."""
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
-        raise ParseError(f"malformed rational {text!r} (expected 'p' or 'p/q')")
-    if "/" in text and text.split("/")[1].lstrip("0") == "":
-        raise ParseError(f"zero denominator in {text!r}")
-    try:
-        return Fraction(text)
-    except ValueError as exc:  # more digits than int() converts
-        raise ParseError(f"rational too long ({len(text)} characters): {exc}") from exc
+    return Fraction(*_parse_ratio(text))
 
 
 class GaussianRational:
@@ -44,10 +59,6 @@ class GaussianRational:
             im = Fraction(im)
         self.re = re
         self.im = im
-
-    @classmethod
-    def from_strings(cls, re_text: str, im_text: str) -> "GaussianRational":
-        return cls(parse_rational(re_text), parse_rational(im_text))
 
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
@@ -132,10 +143,6 @@ class GaussianRational:
             return im
         sign = "+" if self.im > 0 else ""
         return f"{self.re}{sign}{im}"
-
-    def to_pair(self) -> list[str]:
-        """Serialize as the ["re", "im"] string pair used by the JSON encoding."""
-        return [str(self.re), str(self.im)]
 
 
 def _coerce(value):

@@ -213,12 +213,16 @@ def _require_conditions(q: Quadruple) -> None:
         raise ConditionsViolatedError(f"side conditions fail: {'; '.join(failed)}", failed)
 
 
-def _evaluate_transfer(q: Quadruple) -> TransferOutcome:
+def _alpha_drazin(q: Quadruple) -> tuple[Matrix, DrazinData]:
+    """alpha = 1 - bd and its Drazin data: the first step of every transfer."""
+    alpha = Matrix.identity(q.size) - q.b * q.d
+    return alpha, drazin(alpha)
+
+
+def _evaluate_transfer(q: Quadruple, alpha: Matrix, alpha_data: DrazinData) -> TransferOutcome:
     a, b, c, d = q.a, q.b, q.c, q.d
     eye = Matrix.identity(q.size)
-    alpha = eye - b * d
     beta = eye - a * c
-    alpha_data = drazin(alpha)
     p, x = alpha_data.spectral_idempotent, alpha_data.dinv
     try:
         resolvent = inverse(eye - p * alpha * (eye + b * d))
@@ -244,7 +248,7 @@ def transfer_gdrazin(q: Quadruple) -> TransferOutcome:
     """Evaluate the transfer formula for beta = 1 - ac and compare with the
     directly computed Drazin inverse."""
     _require_conditions(q)
-    return _evaluate_transfer(q)
+    return _evaluate_transfer(q, *_alpha_drazin(q))
 
 
 def transfer_drazin(q: Quadruple) -> TransferOutcome:
@@ -255,7 +259,7 @@ def transfer_drazin(q: Quadruple) -> TransferOutcome:
     of either is a falsification worth surfacing loudly.
     """
     _require_conditions(q)
-    outcome = _evaluate_transfer(q)
+    outcome = _evaluate_transfer(q, *_alpha_drazin(q))
     if abs(outcome.alpha_index - outcome.beta_index) > 1:
         raise IdentityFalsifiedError(
             f"index bound violated: i(alpha)={outcome.alpha_index}, "
@@ -267,14 +271,17 @@ def transfer_drazin(q: Quadruple) -> TransferOutcome:
 def transfer_group(q: Quadruple) -> TransferOutcome:
     """Group-inverse version: requires i(1-bd) <= 1, verifies i(1-ac) <= 1.
 
-    The transferred value coincides with the Drazin formula (x = alpha^# when
-    the index is at most 1); `agrees` additionally demands that beta has a
-    group inverse and that the formula reproduces it exactly.
+    An instance with i(1-bd) >= 2 is refused right after alpha's Drazin
+    data, before any work on beta. The transferred value coincides with the
+    Drazin formula (x = alpha^# when the index is at most 1); `agrees`
+    additionally demands that beta has a group inverse and that the formula
+    reproduces it exactly.
     """
     _require_conditions(q)
-    outcome = _evaluate_transfer(q)
-    if outcome.alpha_index > 1:
+    alpha, alpha_data = _alpha_drazin(q)
+    if alpha_data.index > 1:
         raise NoGroupInverseError("1-bd has index >= 2, group transfer refused")
+    outcome = _evaluate_transfer(q, alpha, alpha_data)
     if outcome.beta_index > 1:
         return replace(outcome, agrees=False)
     if outcome.agrees:

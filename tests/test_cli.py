@@ -49,6 +49,9 @@ def test_drazin_command_bad_input(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"rows": 2, "cols": 2, "entries": [[["1/0","0"],["0","0"]],[["0","0"],["1","0"]]]}')
     assert main(["drazin", "--input", str(bad)]) == 2
+    # a zero denominator hidden by a trailing newline is still bad input
+    bad.write_text('{"rows": 1, "cols": 1, "entries": [[["1/0\\n", "0"]]]}')
+    assert main(["drazin", "--input", str(bad)]) == 2
     assert main(["drazin", "--input", str(tmp_path / "missing.json")]) == 2
     nonsquare = write_matrix(tmp_path / "ns.json", Matrix.zeros(2, 3))
     assert main(["drazin", "--input", nonsquare]) == 2

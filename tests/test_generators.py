@@ -1,14 +1,17 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drazinlab import GenerationExhaustedError, Matrix, check_conditions, drazin, index_of
 from drazinlab.generators import (
     FAMILIES,
     GeneratorSpec,
+    _solve_strong_for_c,
     counterexample_instance,
     gen_family,
 )
 from drazinlab import jsonio
-from util import as_matrix
+from util import as_matrix, grids, strong_c_reference
 
 
 def test_counterexample_instance_is_the_fixed_one():
@@ -96,3 +99,40 @@ def test_strong_family_mixes_singular_and_invertible_alpha():
     indices = {index_of(Matrix.identity(4) - q.b * q.d) for q in quads}
     assert 0 in indices  # generic upper-triangular draws are invertible
     assert len(indices) > 1  # and rank-deficient diagonals do occur
+
+
+SMALL_INTS = st.integers(-2, 2)
+
+
+@st.composite
+def strong_operands(draw, n):
+    """An n x n operand: dense integer, low rank, zero or over Q(i)."""
+    style = draw(st.sampled_from(("dense", "low_rank", "zero", "gauss")))
+    if style == "zero":
+        return Matrix.zeros(n, n)
+    if style == "gauss":
+        return as_matrix(draw(grids(n, n)))
+    dense = Matrix(n, n, draw(st.lists(SMALL_INTS, min_size=n * n, max_size=n * n)))
+    if style == "dense":
+        return dense
+    r = draw(st.integers(1, n))
+    left = Matrix(n, r, draw(st.lists(SMALL_INTS, min_size=n * r, max_size=n * r)))
+    return left * dense.take_rows(range(r))
+
+
+def test_factored_strong_solve_matches_kronecker_solve():
+    """The factored solve gives the same c, or None, as one `solve` on the
+    Kronecker system, and both outcomes occur among the draws."""
+    outcomes = set()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def check(data):
+        n = data.draw(st.integers(1, 5))
+        a, b, d = (data.draw(strong_operands(n)) for _ in range(3))
+        c = _solve_strong_for_c(a, b, d)
+        assert c == strong_c_reference(a, b, d)
+        outcomes.add(c is None)
+
+    check()
+    assert outcomes == {True, False}

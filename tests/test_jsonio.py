@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drazinlab import GaussianRational, Matrix, ParseError, Quadruple
+from drazinlab import GaussianRational, Matrix, ParseError, Quadruple, parse_rational
 from drazinlab import jsonio
 from drazinlab.generators import MAX_SIZE, GeneratorSpec, counterexample_instance, gen_family
-from util import DIMS, as_matrix, grids
+from util import DIMS, as_matrix, grids, matrix_obj_reference
 
 
 def test_matrix_roundtrip_bit_exact():
@@ -30,6 +30,20 @@ def test_matrix_obj_shape():
         "cols": 2,
         "entries": [[["1", "0"], ["0", "0"]], [["0", "0"], ["1", "0"]]],
     }
+
+
+def test_matrix_entry_text():
+    m = Matrix(1, 3, [Fraction(-3, 2), GaussianRational(0, Fraction(4, 6)), 7])
+    assert jsonio.matrix_to_obj(m)["entries"] == [[["-3/2", "0"], ["0", "2/3"], ["7", "0"]]]
+
+
+def test_scalar_pair_from_strings():
+    obj = {"rows": 1, "cols": 1, "entries": [[["-3/2", "4"]]]}
+    assert jsonio.matrix_from_obj(obj).entry(0, 0) == GaussianRational(Fraction(-3, 2), 4)
+    assert parse_rational("-3/2") == Fraction(-3, 2) and parse_rational("4") == 4
+    obj["entries"][0][0] = ["1/0", "0"]
+    with pytest.raises(ParseError, match="zero denominator"):
+        jsonio.matrix_from_obj(obj)
 
 
 @pytest.mark.parametrize(
@@ -125,3 +139,44 @@ def test_quadruple_json_round_trip_property(data):
     q = Quadruple(*(as_matrix(data.draw(grids(n, n))) for _ in range(4)))
     text = jsonio.dumps(jsonio.quadruple_to_obj(q))
     assert jsonio.quadruple_from_obj(jsonio.loads(text)) == q
+
+
+@settings(max_examples=60, deadline=None)
+@given(grids())
+def test_matrix_to_obj_matches_fraction_reference_property(rows):
+    m = as_matrix(rows)
+    obj = jsonio.matrix_to_obj(m)
+    assert obj == matrix_obj_reference(rows)
+    assert jsonio.matrix_from_obj(obj) == m
+
+
+@st.composite
+def spellings(draw, x: Fraction):
+    """Some string that parses to x: scaled terms, leading zeros, a '+'
+    sign, '-0', a '/1' denominator."""
+    k = draw(st.integers(1, 3))
+    num, den = abs(x.numerator) * k, x.denominator * k
+    zeros = "0" * draw(st.integers(0, 2))
+    sign = "-" if x < 0 else draw(st.sampled_from(("", "+", "-" if not x else "")))
+    text = f"{sign}{zeros}{num}"
+    if den != 1 or draw(st.booleans()):
+        text += f"/{zeros}{den}"
+    return text
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_non_canonical_strings_decode_to_the_same_matrix_property(data):
+    rows = data.draw(grids())
+    obj = matrix_obj_reference(rows)
+    obj["entries"] = [
+        [[data.draw(spellings(e.re)), data.draw(spellings(e.im))] for e in row] for row in rows
+    ]
+    assert jsonio.matrix_from_obj(obj) == as_matrix(rows)
+
+
+def test_non_canonical_strings_examples():
+    canonical = {"rows": 1, "cols": 3, "entries": [[["2/3", "7"], ["7", "0"], ["0", "-1"]]]}
+    spelled = {"rows": 1, "cols": 3, "entries": [[["004/006", "+7"], ["+7", "-0"], ["-0", "-2/2"]]]}
+    assert jsonio.matrix_from_obj(spelled) == jsonio.matrix_from_obj(canonical)
+    assert jsonio.matrix_to_obj(jsonio.matrix_from_obj(spelled)) == canonical

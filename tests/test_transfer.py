@@ -26,6 +26,7 @@ from drazinlab import (
     transfer_gdrazin,
     transfer_group,
 )
+import drazinlab.transfer as transfer_module
 from drazinlab.generators import FAMILIES, GeneratorSpec, counterexample_instance, gen_family
 from util import as_matrix, imat_mul, imat_sub, rand_int_matrix
 
@@ -261,6 +262,21 @@ def test_transfer_group_refuses_high_index():
     for q in qs:
         with pytest.raises(NoGroupInverseError):
             transfer_group(q)
+
+
+def test_transfer_group_refusal_runs_drazin_once(monkeypatch):
+    # the refusal comes from alpha's Drazin data alone; beta is never inverted
+    calls = []
+
+    def counting_drazin(m):
+        calls.append(m)
+        return drazin(m)
+
+    monkeypatch.setattr(transfer_module, "drazin", counting_drazin)
+    q = gen_family(GeneratorSpec("zero_padded_nilpotent", 5, seed=3, count=1))[0]
+    with pytest.raises(NoGroupInverseError):
+        transfer_group(q)
+    assert calls == [Matrix.identity(5) - q.b * q.d]
 
 
 def test_transfer_group_on_index_one_instances():

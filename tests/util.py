@@ -12,6 +12,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from drazinlab import GaussianRational, Matrix
+from drazinlab.matrices import kron, solve
 
 
 def imat_mul(a, b):
@@ -101,6 +102,27 @@ def g_rref(a):
                 work[i] = [v - f * w for v, w in zip(work[i], work[r])]
         pivots.append(c)
     return work, len(pivots), tuple(pivots)
+
+
+def matrix_obj_reference(rows):
+    """JSON object of a matrix given as GaussianRational row lists, each
+    entry written through str(Fraction): the reference for the codec."""
+    return {
+        "rows": len(rows),
+        "cols": len(rows[0]),
+        "entries": [[[str(e.re), str(e.im)] for e in row] for row in rows],
+    }
+
+
+def strong_c_reference(a: Matrix, b: Matrix, d: Matrix) -> Matrix | None:
+    """c from a c d = d b d, a c a = d b a by one `solve` on the stacked
+    n^2-unknown Kronecker system: the reference for the factored solve in
+    `generators._solve_strong_for_c`."""
+    n = a.rows
+    system = kron(a, d.T).vstack(kron(a, a.T))
+    rhs = (d * b * d).reshape(n * n, 1).vstack((d * b * a).reshape(n * n, 1))
+    x = solve(system, rhs)
+    return None if x is None else x.reshape(n, n)
 
 
 # Hypothesis strategies shared by the property tests.
