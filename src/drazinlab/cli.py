@@ -26,7 +26,7 @@ from .errors import (
     ShapeError,
 )
 from .generators import FAMILIES, GeneratorSpec, gen_family
-from .transfer import check_conditions, power_instance, transfer_drazin, transfer_gdrazin, transfer_group
+from .transfer import power_instance, transfer_drazin, transfer_gdrazin, transfer_group
 from .verify import VerifyReport, run_battery, summarize
 
 _TRANSFER_MODES = {
@@ -80,7 +80,7 @@ def _cmd_check_conditions(args) -> int:
         quad = jsonio.load_quadruple_file(args.input)
     except (ParseError, ShapeError, OSError) as exc:
         return _fail(str(exc), 2)
-    report = check_conditions(quad)
+    report = quad.conditions
     return _print(args, jsonio.condition_report_to_obj, report, 0 if report.all_hold else 1)
 
 
@@ -124,8 +124,7 @@ def _cmd_verify(args) -> int:
         return _fail(str(exc), 2)
     report = run_battery(quads)
     code = _print(args, VerifyReport.to_obj, report, 0 if report.ok else 1)
-    if not args.json:
-        print(summarize(report))
+    print(summarize(report), file=sys.stderr)
     return code
 
 
@@ -137,7 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_output_flags(p):
-        p.add_argument("--json", action="store_true", help="machine output only")
         p.add_argument("--pretty", action="store_true", help="indent the JSON output")
 
     p = sub.add_parser("drazin", help="Drazin data of one matrix")

@@ -70,14 +70,13 @@ def nilpotency_index(a: Matrix) -> int:
     raise ValueError("matrix is not nilpotent")
 
 
-def _verify_drazin(a: Matrix, data: DrazinData) -> None:
-    x, k, p = data.dinv, data.index, data.spectral_idempotent
-    ax = a * x
+def _verify_drazin(a: Matrix, data: DrazinData, ax: Matrix, ak: Matrix) -> None:
+    """Check data against the defining equations; ax = a A^D, ak = a^index."""
+    x, p = data.dinv, data.spectral_idempotent
     if ax != x * a:
         raise InternalInvariantError("Drazin candidate does not commute with the matrix")
     if x * ax != x:
         raise InternalInvariantError("Drazin candidate fails x a x = x")
-    ak = a**k
     if ak * ax != ak:
         raise InternalInvariantError("Drazin candidate fails a^(k+1) x = a^k")
     if p * p != p:
@@ -94,17 +93,11 @@ def drazin(a: Matrix) -> DrazinData:
     """
     _require_square(a, "Drazin inverse")
     l = index_of(a)
-    if l == 0:
-        dinv = inverse(a)
-    else:
-        al = a**l
-        dinv = al * one_inverse(al * al * a) * al
-    data = DrazinData(
-        dinv=dinv,
-        index=l,
-        spectral_idempotent=Matrix.identity(a.rows) - a * dinv,
-    )
-    _verify_drazin(a, data)
+    al = a**l
+    dinv = inverse(a) if l == 0 else al * one_inverse(al * al * a) * al
+    ax = a * dinv
+    data = DrazinData(dinv=dinv, index=l, spectral_idempotent=Matrix.identity(a.rows) - ax)
+    _verify_drazin(a, data, ax, al)
     return data
 
 

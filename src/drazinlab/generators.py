@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from .errors import GenerationExhaustedError, InternalInvariantError
 from .matrices import Matrix, block_diag, inverse, null_space_basis, one_inverse
-from .transfer import Quadruple, check_conditions
+from .transfer import Quadruple
 
 FAMILIES = (
     "counterexample",
@@ -81,7 +81,7 @@ def gen_family(spec: GeneratorSpec, max_attempts: int = 1000) -> list[Quadruple]
     out = []
     for _ in range(spec.count):
         q = _generate_one(spec.family, spec.size, rng, max_attempts)
-        if not check_conditions(q).all_hold:
+        if not q.conditions.all_hold:
             raise InternalInvariantError(
                 f"family {spec.family!r} emitted a quadruple violating the conditions"
             )

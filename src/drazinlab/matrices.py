@@ -288,14 +288,14 @@ class Matrix:
             raise ValueError("matrix powers require a nonnegative integer exponent")
         if not self.is_square():
             raise ShapeError("matrix power requires a square matrix")
-        result = Matrix.identity(self.rows)
-        base = self
+        result, base = None, self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if n:
+                base = base * base
+        return Matrix.identity(self.rows) if result is None else result
 
     # -- transposes --------------------------------------------------------
 

@@ -21,11 +21,17 @@ internal failure rather than swallowed.
 Note the factor inside the inverse carries the idempotent p: dropping it
 would leave 1 - alpha(1 + bd) = (bd)^2, which is singular for most
 instances of interest.
+
+A `Quadruple` memoizes ac, bd and its side-condition report, which the
+transfers, the power construction and the generators' self-check all read.
+Matrices and quadruples are immutable, so a memoized value cannot go stale;
+a quadruple decoded from JSON is a new object and is checked anew.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from math import comb
 
 from .drazin import DrazinData, drazin
@@ -61,6 +67,19 @@ class Quadruple:
     def size(self) -> int:
         return self.a.rows
 
+    @cached_property
+    def ac(self) -> Matrix:
+        return self.a * self.c
+
+    @cached_property
+    def bd(self) -> Matrix:
+        return self.b * self.d
+
+    @cached_property
+    def conditions(self) -> ConditionReport:
+        """The four side conditions, checked once per quadruple."""
+        return check_conditions(self)
+
 
 def lifted_triple(a: Matrix, b: Matrix, c: Matrix) -> Quadruple:
     """Lift a triple to a quadruple by d := a."""
@@ -86,8 +105,7 @@ class ConditionReport:
 def check_conditions(q: Quadruple) -> ConditionReport:
     """Evaluate the four side conditions exactly; residuals are LHS - RHS."""
     a, b, c, d = q.a, q.b, q.c, q.d
-    ac = a * c
-    db = d * b
+    ac, db = q.ac, d * b
     return ConditionReport(
         labels=(
             "(ac)^2 = (db)(ac)",
@@ -110,9 +128,10 @@ def check_strong_conditions(a: Matrix, b: Matrix, c: Matrix, d: Matrix) -> Condi
     When both hold, the four side conditions of `check_conditions` follow,
     so any quadruple passing here passes there as well.
     """
+    ac, db = a * c, d * b
     return ConditionReport(
         labels=("acd = dbd", "dba = aca"),
-        residuals=(a * c * d - d * b * d, d * b * a - a * c * a),
+        residuals=(ac * d - db * d, db * a - ac * a),
     )
 
 
@@ -207,7 +226,7 @@ class TransferOutcome:
 
 
 def _require_conditions(q: Quadruple) -> None:
-    report = check_conditions(q)
+    report = q.conditions
     if not report.all_hold:
         failed = [lab for lab, ok in zip(report.labels, report.holds) if not ok]
         raise ConditionsViolatedError(f"side conditions fail: {'; '.join(failed)}", failed)
@@ -215,25 +234,25 @@ def _require_conditions(q: Quadruple) -> None:
 
 def _alpha_drazin(q: Quadruple) -> tuple[Matrix, DrazinData]:
     """alpha = 1 - bd and its Drazin data: the first step of every transfer."""
-    alpha = Matrix.identity(q.size) - q.b * q.d
+    alpha = Matrix.identity(q.size) - q.bd
     return alpha, drazin(alpha)
 
 
 def _evaluate_transfer(q: Quadruple, alpha: Matrix, alpha_data: DrazinData) -> TransferOutcome:
-    a, b, c, d = q.a, q.b, q.c, q.d
+    d, ac = q.d, q.ac
     eye = Matrix.identity(q.size)
-    beta = eye - a * c
+    beta = eye - ac
     p, x = alpha_data.spectral_idempotent, alpha_data.dinv
     try:
-        resolvent = inverse(eye - p * alpha * (eye + b * d))
+        resolvent = inverse(eye - p * alpha * (eye + q.bd))
     except SingularMatrixError as exc:
         raise InternalInvertibilityError(
             "1 - p alpha (1+bd) singular: conditions violated or kernel bug"
         ) from exc
-    bac = b * a * c
-    y = (eye - d * p * resolvent * bac) * (eye + a * c) + d * x * bac
+    bac = q.b * ac
+    y = (eye - d * p * resolvent * bac) * (eye + ac) + d * x * bac
     direct = drazin(beta)
-    outcome = TransferOutcome(
+    return TransferOutcome(
         beta=beta,
         beta_drazin=DrazinData(y, direct.index, eye - beta * y),
         direct=direct,
@@ -241,7 +260,6 @@ def _evaluate_transfer(q: Quadruple, alpha: Matrix, alpha_data: DrazinData) -> T
         alpha_index=alpha_data.index,
         beta_index=direct.index,
     )
-    return outcome
 
 
 def transfer_gdrazin(q: Quadruple) -> TransferOutcome:
@@ -258,8 +276,7 @@ def transfer_drazin(q: Quadruple) -> TransferOutcome:
     i(beta) <= i(alpha)+1 and i(alpha) <= i(beta)+1 must hold; a violation
     of either is a falsification worth surfacing loudly.
     """
-    _require_conditions(q)
-    outcome = _evaluate_transfer(q, *_alpha_drazin(q))
+    outcome = transfer_gdrazin(q)
     if abs(outcome.alpha_index - outcome.beta_index) > 1:
         raise IdentityFalsifiedError(
             f"index bound violated: i(alpha)={outcome.alpha_index}, "
@@ -294,28 +311,18 @@ def transfer_group(q: Quadruple) -> TransferOutcome:
 def power_instance(q: Quadruple, n: int) -> Quadruple:
     """Rebuild (a, b', c', d) so that 1 - a c' = (1-ac)^n and 1 - b' d = (1-bd)^n.
 
-    Raises ConditionsViolatedError when q fails the side conditions; the
-    construction itself is `derive_power`.
+    c' = sum_{i=1..n} (-1)^(i+1) C(n,i) c (ac)^(i-1) and symmetrically
+    b' = sum_{i=1..n} (-1)^(i+1) C(n,i) (bd)^(i-1) b; the binomial signs are
+    pinned by the n = 1 case, where the sums must collapse to c and b.
+    Raises ConditionsViolatedError when q's memoized condition report fails.
+    Both power identities, and the side conditions of the derived
+    quadruple, are checked before returning.
     """
     if n < 1:
         raise ValueError("power construction needs n >= 1")
     _require_conditions(q)
-    return derive_power(q, n)
-
-
-def derive_power(q: Quadruple, n: int) -> Quadruple:
-    """The power construction for a quadruple known to satisfy the side conditions.
-
-    c' = sum_{i=1..n} (-1)^(i+1) C(n,i) c (ac)^(i-1) and symmetrically
-    b' = sum_{i=1..n} (-1)^(i+1) C(n,i) (bd)^(i-1) b; the binomial signs are
-    pinned by the n = 1 case, where the sums must collapse to c and b. Both
-    power identities, and the side conditions of the derived quadruple, are
-    checked before returning.
-    """
-    a, b, c, d = q.a, q.b, q.c, q.d
-    ac = a * c
-    bd = b * d
-    c_term, b_term = c, b
+    ac, bd = q.ac, q.bd
+    c_term, b_term = q.c, q.b
     c_sum = c_term.scale(comb(n, 1))
     b_sum = b_term.scale(comb(n, 1))
     for i in range(2, n + 1):
@@ -324,12 +331,12 @@ def derive_power(q: Quadruple, n: int) -> Quadruple:
         coeff = comb(n, i) if i % 2 else -comb(n, i)
         c_sum = c_sum + c_term.scale(coeff)
         b_sum = b_sum + b_term.scale(coeff)
+    derived = Quadruple(q.a, b_sum, c_sum, q.d)
     eye = Matrix.identity(q.size)
-    if eye - a * c_sum != (eye - ac) ** n:
+    if eye - derived.ac != (eye - ac) ** n:
         raise InternalInvariantError("power construction failed for 1 - a c'")
-    if eye - b_sum * d != (eye - bd) ** n:
+    if eye - derived.bd != (eye - bd) ** n:
         raise InternalInvariantError("power construction failed for 1 - b' d")
-    derived = Quadruple(a, b_sum, c_sum, d)
-    if not check_conditions(derived).all_hold:
+    if not derived.conditions.all_hold:
         raise InternalInvariantError("derived quadruple lost the side conditions")
     return derived

@@ -11,8 +11,9 @@ Per quadruple, in order:
 * transfer agreement -- the formula's value differs from the direct one.
 * double commutant -- every element of `commutant_basis(beta)` must commute
   with beta and with the transferred value; the basis spans the commutant.
-* power construction -- `derive_power` for n = 1..POWER_MAX, and n = 1
-  must return the quadruple verbatim.
+* power construction -- `power_instance` for n = 1..POWER_MAX, and n = 1
+  must return the quadruple verbatim; only the derived quadruples'
+  conditions are new work, the instance's report is memoized.
 
 An instance contributes one failure record at most: the first property
 that breaks it. The index pair (i(1-bd), i(1-ac)) of every instance that
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 
 from .drazin import commutant_basis
 from .errors import ConditionsViolatedError, IdentityFalsifiedError, InternalInvariantError
-from .transfer import Quadruple, derive_power, transfer_drazin
+from .transfer import Quadruple, power_instance, transfer_drazin
 
 # Largest exponent of the power construction the battery checks.
 POWER_MAX = 3
@@ -82,7 +83,7 @@ def _first_failure(idx: int, q: Quadruple, index_pairs: list[tuple[int, int]]) -
 
     for n in range(1, POWER_MAX + 1):
         try:
-            derived = derive_power(q, n)
+            derived = power_instance(q, n)
         except InternalInvariantError as exc:
             return Failure(idx, "power construction", f"n={n}: {exc}")
         if n == 1 and derived != q:

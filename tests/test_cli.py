@@ -152,17 +152,24 @@ def test_power_command(tmp_path, capsys):
 
 def test_verify_command_counterexample(capsys):
     assert main(["verify", "--family", "counterexample"]) == 0
-    captured = capsys.readouterr().out
-    report = json.loads(captured.splitlines()[0])
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
     assert report["index_pairs"] == [[0, 0]]
     assert report["passed"] == 1
-    assert "index pairs" in captured
+    # the human summary goes to stderr, so stdout is the JSON report alone
+    assert "index pairs" in captured.err
 
 
 def test_verify_command_classic(capsys):
-    assert main(["verify", "--family", "classic", "--size", "3", "--count", "5", "--seed", "1", "--json"]) == 0
+    assert main(["verify", "--family", "classic", "--size", "3", "--count", "5", "--seed", "1"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["passed"] == 5 and report["failures"] == []
+
+
+def test_verify_command_has_no_json_flag():
+    with pytest.raises(SystemExit) as exc_info:
+        main(["verify", "--family", "counterexample", "--json"])
+    assert exc_info.value.code == 2
 
 
 def test_verify_command_bad_count(capsys):

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from drazinlab import (
@@ -28,7 +28,7 @@ from drazinlab import (
 )
 import drazinlab.transfer as transfer_module
 from drazinlab.generators import FAMILIES, GeneratorSpec, counterexample_instance, gen_family
-from util import as_matrix, imat_mul, imat_sub, rand_int_matrix
+from util import as_matrix, grids, imat_mul, imat_sub, rand_int_matrix
 
 # a fixed dense quadruple that satisfies none of the identities
 GENERIC = Quadruple(
@@ -279,6 +279,41 @@ def test_transfer_group_refusal_runs_drazin_once(monkeypatch):
     assert calls == [Matrix.identity(5) - q.b * q.d]
 
 
+def test_transfer_drazin_forms_ac_and_bd_once(monkeypatch):
+    (generated,) = gen_family(GeneratorSpec("strong", 4, seed=1, count=1))
+    # a new object, as a quadruple decoded from JSON is
+    q = Quadruple(generated.a, generated.b, generated.c, generated.d)
+    products = []
+    mul = Matrix.__mul__
+
+    def counting_mul(left, right):
+        products.append((left, right))
+        return mul(left, right)
+
+    monkeypatch.setattr(Matrix, "__mul__", counting_mul)
+    assert transfer_drazin(q).agrees
+    assert products.count((q.a, q.c)) == 1
+    assert products.count((q.b, q.d)) == 1
+    # the generator's self-check already formed ac on the emitted quadruple
+    products.clear()
+    assert transfer_drazin(generated).agrees
+    assert (generated.a, generated.c) not in products
+
+
+def _memoized_conditions_match_a_fresh_check(q) -> bool:
+    fresh = check_conditions(Quadruple(q.a, q.b, q.c, q.d))
+    return q.conditions == fresh and q.conditions is q.conditions
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_memoized_conditions_of_violating_quadruples_property(data):
+    n = data.draw(st.integers(1, 3))
+    q = Quadruple(*(as_matrix(data.draw(grids(n, n))) for _ in range(4)))
+    assert _memoized_conditions_match_a_fresh_check(q)
+    assume(not q.conditions.all_hold)
+
+
 def test_transfer_group_on_index_one_instances():
     # alpha = 1 - bd is made a conjugated rank-1 idempotent, so its index
     # is exactly 1 and the group transfer must go through.
@@ -359,6 +394,7 @@ def test_power_rejects():
 def test_generated_quadruple_holds_and_powers_verbatim_property(family, size, seed):
     (q,) = gen_family(GeneratorSpec(family, size, seed=seed, count=1))
     assert check_conditions(q).all_hold
+    assert _memoized_conditions_match_a_fresh_check(q)
     assert power_instance(q, 1) == q
 
 

@@ -1,9 +1,11 @@
 import importlib
+import sys
 
 from drazinlab import InternalInvariantError, Matrix, Quadruple, commutant_basis
+from drazinlab import transfer as transfer_module
 from drazinlab import verify as verify_module
 from drazinlab.generators import GeneratorSpec, counterexample_instance, gen_family
-from drazinlab.verify import run_battery, summarize
+from drazinlab.verify import POWER_MAX, run_battery, summarize
 from util import as_matrix
 
 
@@ -87,3 +89,24 @@ def test_commutant_self_check_failure_becomes_record(monkeypatch):
     (failure,) = report.failures
     assert failure.prop == "double commutant"
     assert "does not commute with beta" in failure.detail
+
+
+def test_battery_checks_conditions_once_per_quadruple(monkeypatch):
+    # count every call, however a module reached the function
+    calls = []
+    original = transfer_module.check_conditions
+
+    def counting(q):
+        calls.append(q)
+        return original(q)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("drazinlab") and getattr(module, "check_conditions", None) is original:
+            monkeypatch.setattr(module, "check_conditions", counting)
+    (q,) = gen_family(GeneratorSpec("strong", 3, seed=1, count=1))
+    assert run_battery([q]).ok
+    # the generator's self-check, then one per derived quadruple: the
+    # transfer and the power stage read the instance's memoized report
+    assert len(calls) == 1 + POWER_MAX
+    assert calls[0] is q
+    assert calls[1] == q and calls[1] is not q
