@@ -28,8 +28,8 @@ from .drazin import (
     commutant_basis,
     drazin,
     group_inverse,
+    in_double_commutant,
     index_of,
-    is_nilpotent,
     nilpotency_index,
     oracle_drazin,
     random_commutant_element,

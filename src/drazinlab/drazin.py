@@ -1,9 +1,15 @@
-"""Drazin and group inverses, spectral idempotents, and commutant sampling.
+"""Drazin and group inverses, spectral idempotents, and the commutant.
 
 Two independent exact algorithms are provided on purpose: `drazin` goes
 through a {1}-inverse of a high power, `oracle_drazin` through the
 core-nilpotent splitting. They must agree entrywise on every input; a
 disagreement is a kernel bug, never a property of the input.
+
+A Drazin inverse lies in the double commutant of its matrix (Drazin 1958,
+Amer. Math. Monthly 65). `commutant_basis` solves {X : X a = a X} from its
+small side, through Krylov chains, and reads off the same basis the
+n^2 x n^2 Kronecker system would give; `in_double_commutant` tests the
+double commutant as the polynomial algebra of the matrix.
 """
 
 from __future__ import annotations
@@ -11,13 +17,23 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import chain
+from operator import mul
 
 from .errors import InternalInvariantError, NoGroupInverseError, ShapeError
 from .matrices import (
     Matrix,
+    _aligned,
+    _bilinear,
+    _combination,
+    _free_columns,
+    _gather,
+    _gcombine,
+    _grid,
+    _gzeros,
+    _null_rows,
     block_diag,
     inverse,
-    kron,
     null_space_basis,
     one_inverse,
     rank,
@@ -39,24 +55,24 @@ def _require_square(a: Matrix, what: str) -> None:
         raise ShapeError(f"{what} requires a square matrix, got {a.rows}x{a.cols}")
 
 
-def index_of(a: Matrix) -> int:
-    """Smallest k >= 0 with rank(a^k) = rank(a^(k+1)); 0 iff invertible."""
+def _index_and_power(a: Matrix) -> tuple[int, Matrix]:
+    """(index l, a^l): the power is the one the rank sequence has formed."""
     _require_square(a, "index")
-    prev_rank = a.rows  # rank of a^0 = I
+    prev_rank, prev_power = a.rows, Matrix.identity(a.rows)  # a^0 = I
     power = a
     k = 0
     while True:
         r = rank(power)
         if r == prev_rank:
-            return k
-        prev_rank = r
+            return k, prev_power
+        prev_rank, prev_power = r, power
         power = power * a
         k += 1
 
 
-def is_nilpotent(a: Matrix) -> bool:
-    _require_square(a, "nilpotency test")
-    return (a ** a.rows).is_zero()
+def index_of(a: Matrix) -> int:
+    """Smallest k >= 0 with rank(a^k) = rank(a^(k+1)); 0 iff invertible."""
+    return _index_and_power(a)[0]
 
 
 def nilpotency_index(a: Matrix) -> int:
@@ -92,8 +108,7 @@ def drazin(a: Matrix) -> DrazinData:
     the result is verified against all defining equations before returning.
     """
     _require_square(a, "Drazin inverse")
-    l = index_of(a)
-    al = a**l
+    l, al = _index_and_power(a)
     dinv = inverse(a) if l == 0 else al * one_inverse(al * al * a) * al
     ax = a * dinv
     data = DrazinData(dinv=dinv, index=l, spectral_idempotent=Matrix.identity(a.rows) - ax)
@@ -150,32 +165,151 @@ def oracle_drazin(a: Matrix) -> DrazinData:
     return DrazinData(dinv, k, Matrix.identity(n) - a * dinv)
 
 
+def _numerator_powers(a: Matrix, top: int) -> list[Matrix]:
+    """[I, A, ..., A^top] for the integer matrix A = den * a, which has the
+    same commutant and the same polynomial algebra as a."""
+    powers = [Matrix.identity(a.rows), Matrix._make(1, a.re, a.im)]
+    while len(powers) <= top:
+        powers.append(powers[-1] * powers[1])
+    return powers[: top + 1]
+
+
 @lru_cache(maxsize=256)
 def commutant_basis(a: Matrix) -> tuple[Matrix, ...]:
-    """Basis of {X : X a = a X}, solved exactly as an n^2 x n^2 linear system."""
+    """The basis of {X : X a = a X} that is the identity on its free coordinates.
+
+    Chains: take the generators v_1 = (1, ..., 1), v_i = e_i for i >= 2
+    and A = den * a. The pivot columns of rref([K | I]), with
+    K = [v_i, A v_i, ..., A^n v_i] for i = 1..n, are A^j v_i for j < d_i:
+    a basis W of Q(i)^n, and the right block is W^-1. Each chain with
+    d_i > 0 closes with a relation A^(d_i) v_i = sum c A^j' v_i' over the
+    pivots up to it, read off the same elimination. X commutes with A
+    exactly when the images y_i = X v_i satisfy A^(d_i) y_i =
+    sum c A^j' y_i' (then X A = A X on W), and X = [A^j y_i] W^-1. So the
+    system solved is (m n) x (m n) for m chains, and block lower
+    triangular: a relation refers to its own chain and earlier ones. When
+    v_1 is cyclic there is one chain, the system is zero by
+    Cayley-Hamilton and the commutant is {p(a)}. (With e_1 first, every
+    upper triangular matrix would give n chains of length one, since e_1
+    is an eigenvector.)
+
+    Read-off: the null-space basis of the n^2 x n^2 system X a - a X = 0
+    (X row-major) is the unique basis of the commutant that is the
+    identity on its free coordinates F, and F is the set of positions that
+    can be the last nonzero entry of a commuting matrix. The reduced row
+    echelon form of the spanning matrices, with their entries in reverse
+    order, has its pivots exactly there, so read back in reverse it is
+    that basis, in the same order.
+    """
     _require_square(a, "commutant")
     n = a.rows
-    # Row (i,j) of the system is the (i,j) entry of X a - a X; the unknown
-    # vector is X flattened row-major.
-    eye = Matrix.identity(n)
-    system = kron(eye, a.T) - kron(a, eye)
-    return tuple(v.reshape(n, n) for v in null_space_basis(system))
+    w = n + 1  # Krylov columns per chain
+    powers = _numerator_powers(a, n)
+    _, grids = _aligned(powers)  # zeros for a missing im grid
+    pw_re = [g for g, _ in grids]
+    pw_im = None if grids[0][1] is None else [g for _, g in grids]
+
+    def krylov_rows(g):
+        # row r of [K | I]: A^j v_1 is the row sums of A^j, A^j e_i its column i
+        return tuple(
+            tuple(sum(g[j][r]) for j in range(w))
+            + tuple(g[j][r][i] for i in range(1, n) for j in range(w))
+            + g[0][r]
+            for r in range(n)
+        )
+
+    krylov = rref(_gather(powers, krylov_rows))
+    reduced, _, pivots = krylov
+    lengths = [0] * n
+    for p in pivots:
+        lengths[p // w] += 1
+    chains = [i for i in range(n) if lengths[i]]
+    slot = {i: t * n for t, i in enumerate(chains)}
+    # Row u: the closing relation of chain u as a null vector of K.
+    closing = _null_rows(krylov, [i * w + lengths[i] for i in chains])
+    zero_block = _gzeros(n, n)
+
+    def relations(nu, pw):
+        # row block u: the blocks sum_j nu[u][i*w + j] A^j, i over the chains
+        out = []
+        for row in nu:
+            blocks = []
+            for i in chains:
+                js = [j for j in range(w) if row[i * w + j]]
+                weights = [row[i * w + j] for j in js]
+                blocks.append(_gcombine(weights, [pw[j] for j in js]) if js else zero_block)
+            out.extend(sum((blk[r] for blk in blocks), ()) for r in range(n))
+        return tuple(out)
+
+    re, im = _bilinear(relations, closing.re, closing.im, pw_re, pw_im)
+    system = rref(Matrix._make(1, re, im))
+    images = _null_rows(system, _free_columns(system))
+    k = images.rows
+    terms = [divmod(p, w) for p in pivots]
+
+    def chain_images(y, pw):
+        # row (t, r) of [A^j y_i] for the t-th solution, columns in pivot order
+        out = []
+        for yt in y:
+            ys = {i: yt[o : o + n] for i, o in slot.items()}
+            out.extend(tuple(sum(map(mul, pw[j][r], ys[i])) for i, j in terms) for r in range(n))
+        return tuple(out)
+
+    re, im = _bilinear(chain_images, images.re, images.im, pw_re, pw_im)
+    # W^-1 up to the scalar den of the reduced matrix, which scales every
+    # spanning row alike and so leaves the read-off unchanged
+    w_inv = Matrix._make(
+        1,
+        tuple(row[n * w :] for row in reduced.re),
+        None if reduced.im is None else tuple(row[n * w :] for row in reduced.im),
+    )
+    xs = Matrix._make(1, re, im) * w_inv
+    # one row per solution: its X flattened row-major, in reverse order
+    spanning = xs._apply(lambda g: tuple(
+        tuple(chain.from_iterable(g[t * n : t * n + n]))[::-1] for t in range(k)
+    ))
+    canon, rank_, _ = rref(spanning)
+    if rank_ != k:
+        raise InternalInvariantError("commutant spanning set is not independent")
+
+    def element(t):
+        im = None if canon.im is None else _grid(canon.im[t][::-1], n)
+        return Matrix._make(canon.den, _grid(canon.re[t][::-1], n), im)
+
+    return tuple(element(t) for t in reversed(range(k)))
 
 
 def random_commutant_element(a: Matrix, seed: int) -> Matrix:
     """Seed-deterministic random element of the commutant of `a`.
 
-    Sampled as a small-integer combination of an exact basis of the
-    solution space of X a = a X, so the commutation is exact by
-    construction (and re-checked).
+    One small-integer combination of `commutant_basis(a)`, formed on the
+    integer grids over their common denominator, so the commutation is
+    exact by construction (and re-checked).
     """
     basis = commutant_basis(a)
     rng = random.Random(seed)
-    out = Matrix.zeros(a.rows, a.cols)
-    for b in basis:
-        coeff = rng.randint(-3, 3)
-        if coeff:
-            out = out + b.scale(coeff)
+    out = _combination(basis, [rng.randint(-3, 3) for _ in basis])
     if out * a != a * out:
         raise InternalInvariantError("sampled element fails to commute")
     return out
+
+
+def in_double_commutant(a: Matrix, y: Matrix) -> bool:
+    """Whether y commutes with every matrix that commutes with a.
+
+    For one matrix over a field the double commutant is the polynomial
+    algebra (Horn and Johnson, Topics in Matrix Analysis, ch. 4), and by
+    Cayley-Hamilton that is span{I, a, ..., a^(n-1)}. So y belongs exactly
+    when the column vec(y) is not a pivot of the n^2 x (n+1) matrix
+    [vec(I), vec(A), ..., vec(A^(n-1)), vec(den_y * y)], A = den * a;
+    scaling a column does not move the pivots.
+    """
+    _require_square(a, "double commutant")
+    n = a.rows
+    if (y.rows, y.cols) != (n, n):
+        raise ShapeError(f"double commutant of a {n}x{n} matrix needs a {n}x{n} y")
+    columns = _numerator_powers(a, n - 1) + [Matrix._make(1, y.re, y.im)]
+    stacked = _gather(columns, lambda g: tuple(
+        tuple(m[r][s] for m in g) for r in range(n) for s in range(n)
+    ))
+    return n not in rref(stacked).pivot_cols

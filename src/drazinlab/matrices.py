@@ -62,10 +62,6 @@ def _gmul(x, y):
     return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in x)
 
 
-def _gkron(x, y):
-    return tuple(tuple(u * v for u in xrow for v in yrow) for xrow in x for yrow in y)
-
-
 def _gadd(x, y):
     return tuple(tuple(map(add, r, s)) for r, s in zip(x, y))
 
@@ -81,6 +77,13 @@ def _gscale(x, k):
 def _grid(flat, cols):
     """Row-major flat sequence as a tuple of rows of length `cols`."""
     return tuple(tuple(flat[k : k + cols]) for k in range(0, len(flat), cols))
+
+
+def _gcombine(weights, grids):
+    """sum(w * g) over integer weights and equally shaped grids."""
+    return tuple(
+        tuple(sum(map(mul, weights, cells)) for cells in zip(*rows)) for rows in zip(*grids)
+    )
 
 
 def _gzeros(rows, cols):
@@ -119,6 +122,27 @@ def _aligned(mats):
         else:
             grids.append((m.re, im))
     return den, grids
+
+
+def _gather(mats, f) -> "Matrix":
+    """Matrix built by f from the list of the aligned re grids of `mats`,
+    and likewise from their im grids; f must be Z-linear."""
+    den, grids = _aligned(mats)
+    re = f([g for g, _ in grids])
+    im = None if grids[0][1] is None else f([g for _, g in grids])
+    return Matrix._make(den, re, im)
+
+
+def _combination(mats, coeffs) -> "Matrix":
+    """sum(c * m) for integer coefficients, in one pass over the grids: each
+    coefficient absorbs its matrix's factor to the common denominator."""
+    den = lcm(*(m.den for m in mats))
+    weights = [c * (den // m.den) for c, m in zip(coeffs, mats)]
+    im = None
+    if any(m.im is not None for m in mats):
+        zeros = _gzeros(mats[0].rows, mats[0].cols)
+        im = _gcombine(weights, [zeros if m.im is None else m.im for m in mats])
+    return Matrix._make(den, _gcombine(weights, [m.re for m in mats]), im)
 
 
 def _binary(a, b, f) -> "Matrix":
@@ -348,12 +372,6 @@ class Matrix:
         return "\n".join("[" + "  ".join(c.rjust(width) for c in row) + "]" for row in cells)
 
 
-def kron(x: Matrix, y: Matrix) -> Matrix:
-    """Kronecker product: entry ((i, j), (p, q)) is x[i][p] * y[j][q]."""
-    re, im = _bilinear(_gkron, x.re, x.im, y.re, y.im)
-    return Matrix._make(x.den * y.den, re, im)
-
-
 def block_diag(*blocks: Matrix) -> Matrix:
     """Direct sum of matrices along the diagonal."""
     if not blocks:
@@ -442,8 +460,14 @@ def _bareiss_gaussian(wre: list[list[int]], wim: list[list[int]]):
             xre, xim = wre[i], wim[i]
             fr, fi = xre[c], xim[c]
             # t = piv * x - f * y, then t / q = t * conj(q) / |q|^2
-            tre = [pr * a - pi * b - fr * u + fi * v for a, b, u, v in zip(xre, xim, yre, yim)]
-            tim = [pr * b + pi * a - fr * v - fi * u for a, b, u, v in zip(xre, xim, yre, yim)]
+            if fr or fi:
+                tre = [pr * a - pi * b - fr * u + fi * v for a, b, u, v in zip(xre, xim, yre, yim)]
+                tim = [pr * b + pi * a - fr * v - fi * u for a, b, u, v in zip(xre, xim, yre, yim)]
+            elif pr != qr or pi != qi:
+                tre = [pr * a - pi * b for a, b in zip(xre, xim)]
+                tim = [pr * b + pi * a for a, b in zip(xre, xim)]
+            else:
+                continue
             wre[i] = [(a * qr + b * qi) // norm for a, b in zip(tre, tim)]
             wim[i] = [(b * qr - a * qi) // norm for a, b in zip(tre, tim)]
         pivots.append(c)
@@ -493,28 +517,45 @@ def inverse(a: Matrix) -> Matrix:
     return reduced.take_columns(range(n, 2 * n))
 
 
-def null_space_basis(a: Matrix) -> list[Matrix]:
-    """Basis of {x : a x = 0}, as a list of cols x 1 column vectors.
+def _null_rows(result: RrefResult, free: Sequence[int]) -> Matrix:
+    """The null-space vectors of a reduced matrix for the free columns
+    `free`, as the rows of one matrix: the vector for free column f has 1
+    at f and -rref[r][f] at the r-th pivot column."""
+    reduced, _, pivots = result
 
-    The vector for free column f has 1 at f and -rref[r][f] at the r-th
-    pivot column.
-    """
-    reduced, _, pivots = rref(a)
-    den, re, im = reduced.den, reduced.re, reduced.im
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(a.cols):
-        if f in pivot_set:
-            continue
-        vre = [0] * a.cols
-        vim = [0] * a.cols
-        vre[f] = den
-        for r, pc in enumerate(pivots):
-            vre[pc] = -re[r][f]
-            if im is not None:
-                vim[pc] = -im[r][f]
-        basis.append(Matrix._make(den, tuple((v,) for v in vre), tuple((v,) for v in vim)))
-    return basis
+    def rows(g, one):
+        out = []
+        for f in free:
+            v = [0] * reduced.cols
+            v[f] = one
+            for r, pc in enumerate(pivots):
+                v[pc] = -g[r][f]
+            out.append(tuple(v))
+        return tuple(out)
+
+    im = None if reduced.im is None else rows(reduced.im, 0)
+    return Matrix._make(reduced.den, rows(reduced.re, reduced.den), im)
+
+
+def _free_columns(result: RrefResult) -> list[int]:
+    pivot_set = set(result.pivot_cols)
+    return [f for f in range(result.matrix.cols) if f not in pivot_set]
+
+
+def null_space_basis(a: Matrix) -> list[Matrix]:
+    """Basis of {x : a x = 0}, as a list of cols x 1 column vectors, one
+    per free column of rref(a) in increasing order."""
+    result = rref(a)
+    free = _free_columns(result)
+    if not free:
+        return []
+    vectors = _null_rows(result, free)
+
+    def column(row):
+        return tuple((v,) for v in row)
+
+    ims = (None,) * len(free) if vectors.im is None else map(column, vectors.im)
+    return [Matrix._make(vectors.den, column(re), im) for re, im in zip(vectors.re, ims)]
 
 
 def _read_off(a: Matrix, b: Matrix) -> tuple[Matrix, bool]:

@@ -9,8 +9,13 @@ Per quadruple, in order:
   checks each result against the defining equations and the core-nilpotent
   part at the index, so a transferred value equal to it needs no more.
 * transfer agreement -- the formula's value differs from the direct one.
-* double commutant -- every element of `commutant_basis(beta)` must commute
-  with beta and with the transferred value; the basis spans the commutant.
+* double commutant -- a Drazin inverse commutes with everything that
+  commutes with its matrix (Drazin 1958), so the transferred value y must.
+  Over a field the double commutant of one matrix is its polynomial
+  algebra (Horn and Johnson, Topics in Matrix Analysis, ch. 4), so this
+  is the test "y is in span{I, beta, ..., beta^(n-1)}": one elimination
+  of an n^2 x (n+1) matrix (`in_double_commutant`). The commutant of beta
+  itself is never built.
 * power construction -- `power_instance` for n = 1..POWER_MAX, and n = 1
   must return the quadruple verbatim; only the derived quadruples'
   conditions are new work, the instance's report is memoized.
@@ -24,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .drazin import commutant_basis
+from .drazin import in_double_commutant
 from .errors import ConditionsViolatedError, IdentityFalsifiedError, InternalInvariantError
 from .transfer import Quadruple, power_instance, transfer_drazin
 
@@ -74,12 +79,8 @@ def _first_failure(idx: int, q: Quadruple, index_pairs: list[tuple[int, int]]) -
     if not outcome.agrees:
         return Failure(idx, "transfer agreement", "formula and direct Drazin inverse differ")
 
-    beta, y = outcome.beta, outcome.beta_drazin.dinv
-    for j, s in enumerate(commutant_basis(beta)):
-        if s * beta != beta * s:
-            return Failure(idx, "double commutant", f"basis element {j} does not commute with beta")
-        if s * y != y * s:
-            return Failure(idx, "double commutant", f"basis element {j} does not commute with y")
+    if not in_double_commutant(outcome.beta, outcome.beta_drazin.dinv):
+        return Failure(idx, "double commutant", "y is not a polynomial in beta")
 
     for n in range(1, POWER_MAX + 1):
         try:

@@ -11,10 +11,11 @@ from drazinlab import (
     NoGroupInverseError,
     ShapeError,
     drazin,
+    commutant_basis,
     group_inverse,
+    in_double_commutant,
     index_of,
     inverse,
-    is_nilpotent,
     nilpotency_index,
     oracle_drazin,
     rank,
@@ -23,6 +24,7 @@ from drazinlab import (
 from util import (
     RATIONALS,
     as_matrix,
+    commutant_basis_reference,
     assert_matrix_equals,
     grids,
     rand_gauss_matrix,
@@ -84,9 +86,9 @@ def test_group_inverse_examples():
 
 
 def test_is_nilpotent():
-    assert is_nilpotent(Matrix.zeros(2, 2))
-    assert is_nilpotent(J2)
-    assert not is_nilpotent(Matrix.identity(2))
+    assert (Matrix.zeros(2, 2) ** 2).is_zero()
+    assert (J2**2).is_zero()
+    assert not (Matrix.identity(2) ** 2).is_zero()
     assert nilpotency_index(J2) == 2
     assert nilpotency_index(Matrix.zeros(2, 2)) == 1
     with pytest.raises(ValueError):
@@ -165,7 +167,8 @@ def test_spectral_idempotent_characterization():
         p = data.spectral_idempotent
         assert p * p == p
         assert p * a == a * p
-        assert is_nilpotent(a * p)
+        core_nil = a * p
+        assert (core_nil**core_nil.rows).is_zero()
         inverse(a + p)  # must not raise
 
 
@@ -194,6 +197,24 @@ def test_group_inverse_exists_iff_index_at_most_one():
                 group_inverse(a)
 
 
+GAUSS_CELL = st.builds(GaussianRational, RATIONALS, RATIONALS | st.just(0))
+
+
+@st.composite
+def upper_triangular(draw, size, diagonal):
+    """Entries from GAUSS_CELL above the diagonal, `diagonal` on it."""
+    return Matrix.from_rows(
+        [[draw(GAUSS_CELL) if j > i else diagonal * (i == j) for j in range(size)]
+         for i in range(size)]
+    )
+
+
+@st.composite
+def unit_triangular_conjugator(draw, n):
+    """Unit lower times unit upper triangular: invertible by construction."""
+    return draw(upper_triangular(n, 1)).T * draw(upper_triangular(n, 1))
+
+
 @st.composite
 def drazin_inputs(draw):
     """At most 4x4 over Q(i). Two draws in three have an index >= 1: either
@@ -203,22 +224,15 @@ def drazin_inputs(draw):
     style = draw(st.sampled_from(("dense", "low_rank", "nilpotent_part")))
     if style == "dense":
         return as_matrix(draw(grids(n, n)))
-    cell = st.builds(GaussianRational, RATIONALS, RATIONALS | st.just(0))
     if style == "low_rank":
         r = draw(st.integers(0, n - 1))
         if r == 0:
             return Matrix.zeros(n, n)
         return as_matrix(draw(grids(n, r))) * as_matrix(draw(grids(r, n)))
-    def upper(size, diagonal):
-        return Matrix.from_rows(
-            [[draw(cell) if j > i else diagonal * (i == j) for j in range(size)]
-             for i in range(size)]
-        )
-
     k = draw(st.integers(0, n - 1))
-    nil = upper(n - k, 0)
+    nil = draw(upper_triangular(n - k, 0))
     core = block_diag(as_matrix(draw(grids(k, k))), nil) if k else nil
-    p = upper(n, 1).T * upper(n, 1)
+    p = draw(unit_triangular_conjugator(n))
     return p * core * inverse(p)
 
 
@@ -228,3 +242,166 @@ def test_drazin_matches_oracle_property(a):
     data, oracle = drazin(a), oracle_drazin(a)
     assert data.index == oracle.index
     assert data.dinv == oracle.dinv
+
+
+def test_drazin_reuses_the_index_power(monkeypatch):
+    # the 4x4 shift has index 4: index_of forms a^2..a^5, the {1}-inverse
+    # route 2 + 2 + 2 products, a A^D one, the self-check five; a^4 is
+    # the power the rank sequence already formed
+    shift = as_matrix([[int(j == i + 1) for j in range(4)] for i in range(4)])
+    products = []
+    mul = Matrix.__mul__
+
+    def counting_mul(left, right):
+        products.append((left, right))
+        return mul(left, right)
+
+    monkeypatch.setattr(Matrix, "__mul__", counting_mul)
+    data = drazin(shift)
+    assert data.index == 4 and data.dinv.is_zero()
+    assert len(products) == 16
+
+
+# -- the commutant -------------------------------------------------------------
+
+def jordan_block(size, eigenvalue):
+    return Matrix.from_rows(
+        [[eigenvalue if i == j else int(j == i + 1) for j in range(size)] for i in range(size)]
+    )
+
+
+@st.composite
+def commutant_inputs(draw, max_size=6):
+    """n x n over Q(i), n <= max_size: dense, low rank, zero, scalar,
+    nilpotent, P diag(Jordan blocks) P^-1 with a repeated eigenvalue, and
+    matrices with e_1 or (1, ..., 1) as an eigenvector, so that it is not
+    cyclic."""
+    n = draw(st.integers(1, max_size))
+    style = draw(st.sampled_from((
+        "dense", "low_rank", "zero", "scalar", "nilpotent", "jordan",
+        "e1_eigenvector", "ones_eigenvector",
+    )))
+    if style == "dense":
+        return as_matrix(draw(grids(n, n)))
+    if style == "low_rank":
+        r = draw(st.integers(1, max(1, n - 1)))
+        return as_matrix(draw(grids(n, r))) * as_matrix(draw(grids(r, n)))
+    if style == "zero":
+        return Matrix.zeros(n, n)
+    if style == "scalar":
+        return Matrix.identity(n).scale(draw(GAUSS_CELL))
+    if style == "e1_eigenvector":
+        rows = draw(grids(n, n))
+        for i in range(1, n):
+            rows[i][0] = GaussianRational(0)
+        return as_matrix(rows)
+    if style == "ones_eigenvector":
+        rows, eigenvalue = draw(grids(n, n)), draw(GAUSS_CELL)
+        for row in rows:
+            row[-1] = eigenvalue - sum(row[:-1], GaussianRational(0))
+        return as_matrix(rows)
+    # Jordan blocks of one repeated eigenvalue (zero for "nilpotent"),
+    # then possibly a block of a second one
+    eigenvalue = GaussianRational(0) if style == "nilpotent" else draw(GAUSS_CELL)
+    sizes, left = [], n
+    while left:
+        sizes.append(draw(st.integers(1, left)))
+        left -= sizes[-1]
+    blocks = [jordan_block(size, eigenvalue) for size in sizes]
+    if style == "jordan" and len(blocks) > 2 and draw(st.booleans()):
+        blocks[-1] = jordan_block(sizes[-1], eigenvalue + 1)
+    p = draw(unit_triangular_conjugator(n))
+    return p * block_diag(*blocks) * inverse(p)
+
+
+@settings(max_examples=80, deadline=None)
+@given(commutant_inputs())
+def test_commutant_basis_matches_kronecker_reference(a):
+    commutant_basis.cache_clear()
+    assert commutant_basis(a) == commutant_basis_reference(a)
+
+
+def test_commutant_basis_examples():
+    # e_1 not cyclic, a repeated eigenvalue, and the extreme dimensions
+    cases = [
+        as_matrix([[2, 1, 0], [0, 2, 0], [0, 0, 2]]),
+        block_diag(J2, J2),
+        as_matrix([[0, 0, 1], [0, 0, 0], [0, 0, 0]]),
+        Matrix.zeros(4, 4),
+        Matrix.identity(5).scale(GaussianRational(1, 2)),
+        as_matrix([[5]]),
+    ]
+    for a in cases:
+        assert commutant_basis(a) == commutant_basis_reference(a)
+    assert len(commutant_basis(Matrix.zeros(4, 4))) == 16
+    assert len(commutant_basis(block_diag(J2, J2))) == 8
+    with pytest.raises(ShapeError):
+        in_double_commutant(J2, Matrix.identity(3))
+
+
+def random_commutant_element_reference(a, seed):
+    """The sampler as a Matrix-level sum: one scaled basis element at a time."""
+    rng = random.Random(seed)
+    out = Matrix.zeros(a.rows, a.cols)
+    for b in commutant_basis(a):
+        coeff = rng.randint(-3, 3)
+        if coeff:
+            out = out + b.scale(coeff)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(commutant_inputs(), st.integers(0, 2**32))
+def test_sampler_matches_matrix_level_combination(a, seed):
+    s = random_commutant_element(a, seed)
+    assert s == random_commutant_element_reference(a, seed)
+    assert s * a == a * s
+
+
+def commutes_with_commutant(a, y):
+    """Double-commutant membership tested against the whole commutant basis."""
+    return all(s * y == y * s for s in commutant_basis_reference(a))
+
+
+@st.composite
+def double_commutant_candidates(draw):
+    """(a, y): y a polynomial in a, a commutant sample, or any matrix."""
+    a = draw(commutant_inputs(max_size=5))
+    n = a.rows
+    kind = draw(st.sampled_from(("polynomial", "commutant", "any")))
+    if kind == "polynomial":
+        y = Matrix.zeros(n, n)
+        for k in range(n):
+            y = y + (a**k).scale(draw(GAUSS_CELL))
+    elif kind == "commutant":
+        y = random_commutant_element(a, draw(st.integers(0, 1000)))
+    else:
+        y = as_matrix(draw(grids(n, n)))
+    return a, y
+
+
+@settings(max_examples=80, deadline=None)
+@given(double_commutant_candidates())
+def test_polynomial_membership_matches_basis_test(case):
+    a, y = case
+    assert in_double_commutant(a, y) == commutes_with_commutant(a, y)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 4), GAUSS_CELL, st.data())
+def test_non_polynomial_commutant_elements_are_rejected(size, eigenvalue, data):
+    # two Jordan blocks of one eigenvalue: derogatory, so the commutant is
+    # larger than the polynomials in beta
+    blocks = block_diag(jordan_block(size - 1, eigenvalue), jordan_block(1, eigenvalue))
+    p = data.draw(unit_triangular_conjugator(size))
+    beta = p * blocks * inverse(p)
+    rejected = 0
+    for seed in range(10):
+        y = random_commutant_element(beta, seed)
+        assert y * beta == beta * y
+        if not commutes_with_commutant(beta, y):
+            assert not in_double_commutant(beta, y)
+            rejected += 1
+        else:
+            assert in_double_commutant(beta, y)
+    assert rejected > 0

@@ -1,7 +1,8 @@
 import importlib
 import sys
+from dataclasses import replace
 
-from drazinlab import InternalInvariantError, Matrix, Quadruple, commutant_basis
+from drazinlab import InternalInvariantError, Matrix, Quadruple
 from drazinlab import transfer as transfer_module
 from drazinlab import verify as verify_module
 from drazinlab.generators import GeneratorSpec, counterexample_instance, gen_family
@@ -73,22 +74,27 @@ def test_drazin_self_check_failure_becomes_record(monkeypatch):
 
 
 def test_commutant_self_check_failure_becomes_record(monkeypatch):
-    # classic shape (c := b, d := a), so the side conditions hold
-    a, b = as_matrix([[1, 0], [0, 0]]), as_matrix([[1, 1], [0, 0]])
+    # classic shape (c := b, d := a), so the side conditions hold, and
+    # beta = 1 - ab = diag(0, 1, 1) is derogatory
+    a, b = as_matrix([[1, 0, 0], [0, 0, 0], [0, 0, 0]]), Matrix.identity(3)
     q = Quadruple(a, b, b, a)
-    beta = Matrix.identity(2) - a * b
-    stray = as_matrix([[0, 1], [0, 0]])
-    assert stray * beta != beta * stray
+    beta = Matrix.identity(3) - a * b
+    # commutes with beta, but not with the commutant element E_32 of beta
+    stray = as_matrix([[0, 0, 0], [0, 0, 1], [0, 0, 0]])
+    assert stray * beta == beta * stray
+    assert run_battery([q]).ok
+    original = verify_module.transfer_drazin
 
-    def basis_with_stray(a):
-        return commutant_basis(a) + (stray,)
+    def transfer_with_stray(q):
+        outcome = original(q)
+        return replace(outcome, beta_drazin=replace(outcome.beta_drazin, dinv=stray))
 
-    monkeypatch.setattr(verify_module, "commutant_basis", basis_with_stray)
+    monkeypatch.setattr(verify_module, "transfer_drazin", transfer_with_stray)
     report = run_battery([q])
     assert report.total == 1 and report.passed == 0
     (failure,) = report.failures
     assert failure.prop == "double commutant"
-    assert "does not commute with beta" in failure.detail
+    assert failure.detail == "y is not a polynomial in beta"
 
 
 def test_battery_checks_conditions_once_per_quadruple(monkeypatch):

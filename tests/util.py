@@ -12,7 +12,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from drazinlab import GaussianRational, Matrix
-from drazinlab.matrices import kron, solve
+from drazinlab.matrices import _bilinear, null_space_basis, solve
 
 
 def imat_mul(a, b):
@@ -112,6 +112,26 @@ def matrix_obj_reference(rows):
         "cols": len(rows[0]),
         "entries": [[[str(e.re), str(e.im)] for e in row] for row in rows],
     }
+
+
+def _gkron(x, y):
+    return tuple(tuple(u * v for u in xrow for v in yrow) for xrow in x for yrow in y)
+
+
+def kron(x: Matrix, y: Matrix) -> Matrix:
+    """Kronecker product: entry ((i, j), (p, q)) is x[i][p] * y[j][q]."""
+    re, im = _bilinear(_gkron, x.re, x.im, y.re, y.im)
+    return Matrix._make(x.den * y.den, re, im)
+
+
+def commutant_basis_reference(a: Matrix) -> tuple[Matrix, ...]:
+    """Basis of {X : X a = a X} as the null-space basis of the n^2 x n^2
+    system X a - a X = 0 (X row-major): the reference for the chain
+    construction in `drazin.commutant_basis`."""
+    n = a.rows
+    eye = Matrix.identity(n)
+    system = kron(eye, a.T) - kron(a, eye)
+    return tuple(v.reshape(n, n) for v in null_space_basis(system))
 
 
 def strong_c_reference(a: Matrix, b: Matrix, d: Matrix) -> Matrix | None:
