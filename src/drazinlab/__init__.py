@@ -43,7 +43,6 @@ from .transfer import (
     check_triple_conditions,
     jacobson_drazin,
     jacobson_inverse,
-    lifted_triple,
     power_instance,
     transfer_drazin,
     transfer_gdrazin,

@@ -26,7 +26,7 @@ from .errors import (
     ShapeError,
 )
 from .generators import FAMILIES, GeneratorSpec, gen_family
-from .transfer import power_instance, transfer_drazin, transfer_gdrazin, transfer_group
+from .transfer import MAX_POWER, power_instance, transfer_drazin, transfer_gdrazin, transfer_group
 from .verify import VerifyReport, run_battery, summarize
 
 _TRANSFER_MODES = {
@@ -164,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("power", help="derive the power-instance quadruple and re-verify")
     p.add_argument("--input", required=True, help="path to a quadruple JSON file")
-    p.add_argument("--n", type=int, required=True, help="power to apply (n >= 1)")
+    p.add_argument("--n", type=int, required=True, help=f"power to apply (1 <= n <= {MAX_POWER})")
     add_output_flags(p)
     p.set_defaults(func=_cmd_power)
 

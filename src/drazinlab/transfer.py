@@ -6,8 +6,14 @@ matrices subject to four intertwining conditions:
     (ac)^2 = (db)(ac),   (db)^2 = (ac)(db),
     b(ac)a = b(db)a,     c(ac)d = c(db)d.
 
-Under these, setting alpha = 1 - bd and beta = 1 - ac, the Drazin data of
-beta is an explicit expression in the Drazin data of alpha:
+All four residuals (left side minus right side) are products of the one
+defect e = ac - db: they are e(ac), -e(db), b e a and c e d, so
+`check_conditions` forms e once. The conditions are strictly weaker than
+the premise acd = dbd, dba = aca of Yan, Zeng and Zhu, whose residuals are
+e d and -e a.
+
+Under the four conditions, setting alpha = 1 - bd and beta = 1 - ac, the
+Drazin data of beta is an explicit expression in that of alpha:
 
     y = [1 - d p (1 - p alpha (1 + bd))^-1 b a c](1 + ac) + d x b a c
 
@@ -32,7 +38,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from math import comb
 
 from .drazin import DrazinData, drazin
 from .errors import (
@@ -45,6 +50,10 @@ from .errors import (
     SingularMatrixError,
 )
 from .matrices import Matrix, inverse, rank
+
+# Largest exponent `power_instance` accepts: entry lengths grow linearly
+# with n, so an unbounded n from the command line would run for hours.
+MAX_POWER = 1000
 
 
 @dataclass(frozen=True)
@@ -81,11 +90,6 @@ class Quadruple:
         return check_conditions(self)
 
 
-def lifted_triple(a: Matrix, b: Matrix, c: Matrix) -> Quadruple:
-    """Lift a triple to a quadruple by d := a."""
-    return Quadruple(a, b, c, a)
-
-
 @dataclass(frozen=True)
 class ConditionReport:
     """Outcome of a batch of exact identity checks, one residual each."""
@@ -103,9 +107,11 @@ class ConditionReport:
 
 
 def check_conditions(q: Quadruple) -> ConditionReport:
-    """Evaluate the four side conditions exactly; residuals are LHS - RHS."""
+    """Evaluate the four side conditions exactly; residuals are LHS - RHS,
+    formed as products of the one defect e = ac - db."""
     a, b, c, d = q.a, q.b, q.c, q.d
     ac, db = q.ac, d * b
+    e = ac - db
     return ConditionReport(
         labels=(
             "(ac)^2 = (db)(ac)",
@@ -113,32 +119,27 @@ def check_conditions(q: Quadruple) -> ConditionReport:
             "b(ac)a = b(db)a",
             "c(ac)d = c(db)d",
         ),
-        residuals=(
-            ac * ac - db * ac,
-            db * db - ac * db,
-            b * ac * a - b * db * a,
-            c * ac * d - c * db * d,
-        ),
+        residuals=(e * ac, -(e * db), b * e * a, c * e * d),
     )
 
 
 def check_strong_conditions(a: Matrix, b: Matrix, c: Matrix, d: Matrix) -> ConditionReport:
     """The stronger two-identity premise acd = dbd, dba = aca.
 
-    When both hold, the four side conditions of `check_conditions` follow,
-    so any quadruple passing here passes there as well.
+    With e = ac - db the residuals are e d and -e a. When both vanish, so
+    do the four residuals of `check_conditions`, so any quadruple passing
+    here passes there as well.
     """
-    ac, db = a * c, d * b
+    e = a * c - d * b
     return ConditionReport(
         labels=("acd = dbd", "dba = aca"),
-        residuals=(ac * d - db * d, db * a - ac * a),
+        residuals=(e * d, -(e * a)),
     )
 
 
 def check_triple_conditions(a: Matrix, b: Matrix, c: Matrix) -> ConditionReport:
     """The four-triple-identity premise on (a, b, c); lifts via d := a."""
-    aba = a * b * a
-    aca = a * c * a
+    f = a * b * a - a * c * a
     return ConditionReport(
         labels=(
             "(aba)b = (aca)b",
@@ -146,12 +147,7 @@ def check_triple_conditions(a: Matrix, b: Matrix, c: Matrix) -> ConditionReport:
             "(aba)c = (aca)c",
             "c(aba) = c(aca)",
         ),
-        residuals=(
-            (aba - aca) * b,
-            b * (aba - aca),
-            (aba - aca) * c,
-            c * (aba - aca),
-        ),
+        residuals=(f * b, b * f, f * c, c * f),
     )
 
 
@@ -311,31 +307,28 @@ def transfer_group(q: Quadruple) -> TransferOutcome:
 def power_instance(q: Quadruple, n: int) -> Quadruple:
     """Rebuild (a, b', c', d) so that 1 - a c' = (1-ac)^n and 1 - b' d = (1-bd)^n.
 
-    c' = sum_{i=1..n} (-1)^(i+1) C(n,i) c (ac)^(i-1) and symmetrically
-    b' = sum_{i=1..n} (-1)^(i+1) C(n,i) (bd)^(i-1) b; the binomial signs are
-    pinned by the n = 1 case, where the sums must collapse to c and b.
-    Raises ConditionsViolatedError when q's memoized condition report fails.
-    Both power identities, and the side conditions of the derived
-    quadruple, are checked before returning.
+    c' = c sum_{k<n} (1-ac)^k and b' = sum_{k<n} (1-bd)^k b: the geometric
+    sums telescope, a c' = (1 - (1-ac)) sum_{k<n} (1-ac)^k = 1 - (1-ac)^n,
+    and n = 1 returns c and b themselves. Raises ValueError unless
+    1 <= n <= MAX_POWER, and ConditionsViolatedError when q's memoized
+    condition report fails. Both power identities, and the side conditions
+    of the derived quadruple, are checked before returning.
     """
-    if n < 1:
-        raise ValueError("power construction needs n >= 1")
+    if not 1 <= n <= MAX_POWER:
+        raise ValueError(f"power construction needs 1 <= n <= {MAX_POWER}")
     _require_conditions(q)
-    ac, bd = q.ac, q.bd
-    c_term, b_term = q.c, q.b
-    c_sum = c_term.scale(comb(n, 1))
-    b_sum = b_term.scale(comb(n, 1))
-    for i in range(2, n + 1):
-        c_term = c_term * ac
-        b_term = bd * b_term
-        coeff = comb(n, i) if i % 2 else -comb(n, i)
-        c_sum = c_sum + c_term.scale(coeff)
-        b_sum = b_sum + b_term.scale(coeff)
-    derived = Quadruple(q.a, b_sum, c_sum, q.d)
     eye = Matrix.identity(q.size)
-    if eye - derived.ac != (eye - ac) ** n:
+    beta, alpha = eye - q.ac, eye - q.bd
+    c_sum, b_sum = c_term, b_term = q.c, q.b
+    beta_n, alpha_n = beta, alpha
+    for _ in range(1, n):
+        c_term, b_term = c_term * beta, alpha * b_term
+        beta_n, alpha_n = beta_n * beta, alpha_n * alpha
+        c_sum, b_sum = c_sum + c_term, b_sum + b_term
+    derived = Quadruple(q.a, b_sum, c_sum, q.d)
+    if eye - derived.ac != beta_n:
         raise InternalInvariantError("power construction failed for 1 - a c'")
-    if eye - derived.bd != (eye - bd) ** n:
+    if eye - derived.bd != alpha_n:
         raise InternalInvariantError("power construction failed for 1 - b' d")
     if not derived.conditions.all_hold:
         raise InternalInvariantError("derived quadruple lost the side conditions")

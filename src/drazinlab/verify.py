@@ -17,8 +17,10 @@ Per quadruple, in order:
   of an n^2 x (n+1) matrix (`in_double_commutant`). The commutant of beta
   itself is never built.
 * power construction -- `power_instance` for n = 1..POWER_MAX, and n = 1
-  must return the quadruple verbatim; only the derived quadruples'
-  conditions are new work, the instance's report is memoized.
+  must return the quadruple verbatim. Each call builds c' and b' as
+  geometric sums in (1-ac) and (1-bd) and checks both power identities and
+  the derived quadruple's conditions, the latter through the one defect
+  e = ac' - db'; the instance's own report is memoized.
 
 An instance contributes one failure record at most: the first property
 that breaks it. The index pair (i(1-bd), i(1-ac)) of every instance that

@@ -1,11 +1,14 @@
 import json
+import shlex
+import time
+from pathlib import Path
 
 import pytest
 
 from drazinlab import Matrix, jsonio
-from drazinlab.cli import main
-from drazinlab.generators import MAX_SIZE, counterexample_instance
-from drazinlab.transfer import power_instance
+from drazinlab.cli import build_parser, main
+from drazinlab.generators import GeneratorSpec, MAX_SIZE, counterexample_instance, gen_family
+from drazinlab.transfer import MAX_POWER, power_instance
 from util import as_matrix
 
 
@@ -148,6 +151,28 @@ def test_power_command(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert jsonio.quadruple_from_obj(out) == power_instance(q, 2)
     assert main(["power", "--input", path, "--n", "0"]) == 2
+
+
+def test_power_command_refuses_exponent_above_cap(tmp_path, capsys):
+    (q,) = gen_family(GeneratorSpec("classic", 3, seed=3, count=1))
+    path = write_quadruple(tmp_path / "q.json", q)
+    start = time.perf_counter()
+    assert main(["power", "--input", path, "--n", str(MAX_POWER + 1)]) == 2
+    # refused before any construction, not after minutes of products
+    assert time.perf_counter() - start < 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(MAX_POWER) in captured.err
+
+
+def test_readme_cli_lines_parse():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```", 2)[1]
+    lines = [line for line in block.splitlines() if line.startswith("drazinlab ")]
+    assert len(lines) == 6
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])
 
 
 def test_verify_command_counterexample(capsys):

@@ -19,7 +19,6 @@ from drazinlab import (
     inverse,
     jacobson_drazin,
     jacobson_inverse,
-    lifted_triple,
     power_instance,
     rank,
     transfer_drazin,
@@ -28,7 +27,15 @@ from drazinlab import (
 )
 import drazinlab.transfer as transfer_module
 from drazinlab.generators import FAMILIES, GeneratorSpec, counterexample_instance, gen_family
-from util import as_matrix, grids, imat_mul, imat_sub, rand_int_matrix
+from util import (
+    as_matrix,
+    conditions_reference,
+    grids,
+    imat_mul,
+    imat_sub,
+    power_reference,
+    rand_int_matrix,
+)
 
 # a fixed dense quadruple that satisfies none of the identities
 GENERIC = Quadruple(
@@ -279,10 +286,7 @@ def test_transfer_group_refusal_runs_drazin_once(monkeypatch):
     assert calls == [Matrix.identity(5) - q.b * q.d]
 
 
-def test_transfer_drazin_forms_ac_and_bd_once(monkeypatch):
-    (generated,) = gen_family(GeneratorSpec("strong", 4, seed=1, count=1))
-    # a new object, as a quadruple decoded from JSON is
-    q = Quadruple(generated.a, generated.b, generated.c, generated.d)
+def _count_products(monkeypatch) -> list:
     products = []
     mul = Matrix.__mul__
 
@@ -291,6 +295,14 @@ def test_transfer_drazin_forms_ac_and_bd_once(monkeypatch):
         return mul(left, right)
 
     monkeypatch.setattr(Matrix, "__mul__", counting_mul)
+    return products
+
+
+def test_transfer_drazin_forms_ac_and_bd_once(monkeypatch):
+    (generated,) = gen_family(GeneratorSpec("strong", 4, seed=1, count=1))
+    # a new object, as a quadruple decoded from JSON is
+    q = Quadruple(generated.a, generated.b, generated.c, generated.d)
+    products = _count_products(monkeypatch)
     assert transfer_drazin(q).agrees
     assert products.count((q.a, q.c)) == 1
     assert products.count((q.b, q.d)) == 1
@@ -311,7 +323,35 @@ def test_memoized_conditions_of_violating_quadruples_property(data):
     n = data.draw(st.integers(1, 3))
     q = Quadruple(*(as_matrix(data.draw(grids(n, n))) for _ in range(4)))
     assert _memoized_conditions_match_a_fresh_check(q)
+    # the defect forms give the literal left-minus-right residuals
+    four, strong, triple = conditions_reference(q.a, q.b, q.c, q.d)
+    assert q.conditions.residuals == four
+    assert check_strong_conditions(q.a, q.b, q.c, q.d).residuals == strong
+    assert check_triple_conditions(q.a, q.b, q.c).residuals == triple
     assume(not q.conditions.all_hold)
+
+
+def test_check_conditions_forms_seven_products(monkeypatch):
+    (generated,) = gen_family(GeneratorSpec("strong", 4, seed=1, count=1))
+    q = Quadruple(generated.a, generated.b, generated.c, generated.d)
+    q.ac  # memoized, as every caller of the check finds it
+    products = _count_products(monkeypatch)
+    check_conditions(q)
+    # d b, then e (ac), e (db), (b e) a and (c e) d; the literal sides took 13
+    assert len(products) == 7
+
+
+def test_power_instance_forms_fewer_products_than_binomial_sums(monkeypatch):
+    (generated,) = gen_family(GeneratorSpec("strong", 4, seed=1, count=1))
+    q = Quadruple(generated.a, generated.b, generated.c, generated.d)
+    q.conditions
+    products = _count_products(monkeypatch)
+    # the binomial construction formed 16, 19 and 23 products here, as the
+    # battery calls it: n = 1, 2, 3 in turn on one quadruple
+    for n, binomial in ((1, 16), (2, 19), (3, 23)):
+        products.clear()
+        power_instance(q, n)
+        assert len(products) < binomial
 
 
 def test_transfer_group_on_index_one_instances():
@@ -381,6 +421,8 @@ def test_power_identities_up_to_five():
 def test_power_rejects():
     with pytest.raises(ValueError):
         power_instance(counterexample_instance(), 0)
+    with pytest.raises(ValueError):
+        power_instance(counterexample_instance(), transfer_module.MAX_POWER + 1)
     with pytest.raises(ConditionsViolatedError):
         power_instance(GENERIC, 2)
 
@@ -398,9 +440,16 @@ def test_generated_quadruple_holds_and_powers_verbatim_property(family, size, se
     assert power_instance(q, 1) == q
 
 
-def test_lifted_triple_sets_d_to_a():
-    q = lifted_triple(GENERIC.a, GENERIC.b, GENERIC.c)
-    assert q.d == q.a
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from([f for f in FAMILIES if f != "counterexample"]),
+    st.integers(2, 3),
+    st.integers(0, 10**6),
+)
+def test_power_instance_equals_binomial_reference_property(family, size, seed):
+    (q,) = gen_family(GeneratorSpec(family, size, seed=seed, count=1))
+    for n in range(1, 6):
+        assert power_instance(q, n) == power_reference(q, n)
 
 
 def test_quadruple_shape_validation():

@@ -8,10 +8,11 @@ cross-check the implementation.
 
 import random
 from fractions import Fraction
+from math import comb
 
 from hypothesis import strategies as st
 
-from drazinlab import GaussianRational, Matrix
+from drazinlab import GaussianRational, Matrix, Quadruple
 from drazinlab.matrices import _bilinear, null_space_basis, solve
 
 
@@ -143,6 +144,37 @@ def strong_c_reference(a: Matrix, b: Matrix, d: Matrix) -> Matrix | None:
     rhs = (d * b * d).reshape(n * n, 1).vstack((d * b * a).reshape(n * n, 1))
     x = solve(system, rhs)
     return None if x is None else x.reshape(n, n)
+
+
+def conditions_reference(a: Matrix, b: Matrix, c: Matrix, d: Matrix):
+    """Residuals, left side minus right side with both sides formed
+    literally, of the four side conditions, the strong premise and the
+    triple premise on (a, b, c): the reference for the defect forms in
+    `transfer`."""
+    ac, db, aba, aca = a * c, d * b, a * b * a, a * c * a
+    four = (
+        ac * ac - db * ac,
+        db * db - ac * db,
+        b * ac * a - b * db * a,
+        c * ac * d - c * db * d,
+    )
+    strong = (ac * d - db * d, db * a - ac * a)
+    triple = (aba * b - aca * b, b * aba - b * aca, aba * c - aca * c, c * aba - c * aca)
+    return four, strong, triple
+
+
+def power_reference(q: Quadruple, n: int) -> Quadruple:
+    """(a, b', c', d) from the signed binomial sums
+    c' = sum_{i=1..n} (-1)^(i+1) C(n,i) c (ac)^(i-1) and
+    b' = sum_{i=1..n} (-1)^(i+1) C(n,i) (bd)^(i-1) b, the expansion of the
+    geometric sums in `transfer.power_instance`: its reference."""
+    ac, bd = q.a * q.c, q.b * q.d
+    c_sum = b_sum = Matrix.zeros(q.size, q.size)
+    for i in range(1, n + 1):
+        coeff = comb(n, i) if i % 2 else -comb(n, i)
+        c_sum = c_sum + (q.c * ac ** (i - 1)).scale(coeff)
+        b_sum = b_sum + (bd ** (i - 1) * q.b).scale(coeff)
+    return Quadruple(q.a, b_sum, c_sum, q.d)
 
 
 # Hypothesis strategies shared by the property tests.
