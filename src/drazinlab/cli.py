@@ -7,6 +7,13 @@ Exit codes follow one convention everywhere:
        a failed battery property, a broken identity)
 * 2 -- usage or input error (bad flags, malformed JSON, violated
        preconditions such as the side conditions)
+
+The command functions return 0 or 1 from their result and raise on
+anything else. `main` alone maps exceptions to a message and exit code,
+so every command treats an error alike: `ValueError` (which covers
+ParseError, ShapeError, ConditionsViolatedError and a file that is not
+UTF-8), `OSError` and NoGroupInverseError exit 2; IdentityFalsifiedError
+and InternalInvariantError exit 1 as "falsified".
 """
 
 from __future__ import annotations
@@ -16,15 +23,7 @@ import sys
 
 from . import jsonio
 from .drazin import drazin
-from .errors import (
-    ConditionsViolatedError,
-    IdentityFalsifiedError,
-    InternalInvariantError,
-    InternalInvertibilityError,
-    NoGroupInverseError,
-    ParseError,
-    ShapeError,
-)
+from .errors import IdentityFalsifiedError, InternalInvariantError, NoGroupInverseError
 from .generators import FAMILIES, GeneratorSpec, gen_family
 from .transfer import MAX_POWER, power_instance, transfer_drazin, transfer_gdrazin, transfer_group
 from .verify import VerifyReport, run_battery, summarize
@@ -42,87 +41,45 @@ def _print(args, to_obj, value, code: int = 0) -> int:
     try:
         obj = to_obj(value)
     except ValueError as exc:
-        return _fail(f"result too large to print: {exc}", 2)
+        raise ValueError(f"result too large to print: {exc}") from exc
     print(jsonio.dumps_pretty(obj) if args.pretty else jsonio.dumps(obj))
     return code
 
 
-def _fail(message: str, code: int) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
-
-
 def _cmd_drazin(args) -> int:
-    try:
-        matrix = jsonio.load_matrix_file(args.input)
-        data = drazin(matrix)
-    except (ParseError, ShapeError, OSError) as exc:
-        return _fail(str(exc), 2)
+    data = drazin(jsonio.load_matrix_file(args.input))
     return _print(args, jsonio.drazin_to_obj, data)
 
 
 def _cmd_transfer(args) -> int:
-    try:
-        quad = jsonio.load_quadruple_file(args.input)
-    except (ParseError, ShapeError, OSError) as exc:
-        return _fail(str(exc), 2)
-    try:
-        outcome = _TRANSFER_MODES[args.mode](quad)
-    except (ConditionsViolatedError, NoGroupInverseError) as exc:
-        return _fail(str(exc), 2)
-    except (IdentityFalsifiedError, InternalInvertibilityError) as exc:
-        return _fail(f"falsified: {exc}", 1)
+    outcome = _TRANSFER_MODES[args.mode](jsonio.load_quadruple_file(args.input))
     return _print(args, jsonio.outcome_to_obj, outcome, 0 if outcome.agrees else 1)
 
 
 def _cmd_check_conditions(args) -> int:
-    try:
-        quad = jsonio.load_quadruple_file(args.input)
-    except (ParseError, ShapeError, OSError) as exc:
-        return _fail(str(exc), 2)
-    report = quad.conditions
+    report = jsonio.load_quadruple_file(args.input).conditions
     return _print(args, jsonio.condition_report_to_obj, report, 0 if report.all_hold else 1)
 
 
 def _cmd_gen(args) -> int:
-    try:
-        spec = GeneratorSpec(args.family, args.size, args.seed, args.count)
-        quads = gen_family(spec)
-    except ValueError as exc:
-        return _fail(str(exc), 2)
-    text = jsonio.dumps(jsonio.corpus_to_obj(spec.to_dict(), quads))
+    spec = GeneratorSpec(args.family, args.size, args.seed, args.count)
+    text = jsonio.dumps(jsonio.corpus_to_obj(spec.to_dict(), gen_family(spec)))
     if args.output:
-        try:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            return _fail(str(exc), 2)
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
     else:
         print(text)
     return 0
 
 
 def _cmd_power(args) -> int:
-    try:
-        quad = jsonio.load_quadruple_file(args.input)
-    except (ParseError, ShapeError, OSError) as exc:
-        return _fail(str(exc), 2)
-    try:
-        derived = power_instance(quad, args.n)
-    except (ConditionsViolatedError, ValueError) as exc:
-        return _fail(str(exc), 2)
-    except InternalInvariantError as exc:
-        return _fail(f"falsified: {exc}", 1)
+    derived = power_instance(jsonio.load_quadruple_file(args.input), args.n)
     return _print(args, jsonio.quadruple_to_obj, derived)
 
 
 def _cmd_verify(args) -> int:
-    try:
-        spec = GeneratorSpec(args.family, args.size, args.seed, args.count)
-        quads = gen_family(spec)
-    except ValueError as exc:
-        return _fail(str(exc), 2)
-    report = run_battery(quads)
+    spec = GeneratorSpec(args.family, args.size, args.seed, args.count)
+    report = run_battery(gen_family(spec))
     code = _print(args, VerifyReport.to_obj, report, 0 if report.ok else 1)
     print(summarize(report), file=sys.stderr)
     return code
@@ -181,7 +138,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError, NoGroupInverseError) as exc:
+        message, code = str(exc), 2
+    except (IdentityFalsifiedError, InternalInvariantError) as exc:
+        message, code = f"falsified: {exc}", 1
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

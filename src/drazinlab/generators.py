@@ -44,6 +44,9 @@ FAMILIES = (
 
 MAX_SIZE = 8
 
+# Draws `_gen_strong` makes before it gives up with GenerationExhaustedError.
+MAX_ATTEMPTS = 1000
+
 
 @dataclass(frozen=True)
 class GeneratorSpec:
@@ -75,12 +78,12 @@ def counterexample_instance() -> Quadruple:
     return Quadruple(a, b, Matrix.zeros(2, 2), a)
 
 
-def gen_family(spec: GeneratorSpec, max_attempts: int = 1000) -> list[Quadruple]:
+def gen_family(spec: GeneratorSpec) -> list[Quadruple]:
     """Generate `spec.count` validated quadruples, deterministically in the seed."""
     rng = random.Random(spec.seed)
     out = []
     for _ in range(spec.count):
-        q = _generate_one(spec.family, spec.size, rng, max_attempts)
+        q = _generate_one(spec.family, spec.size, rng)
         if not q.conditions.all_hold:
             raise InternalInvariantError(
                 f"family {spec.family!r} emitted a quadruple violating the conditions"
@@ -89,19 +92,19 @@ def gen_family(spec: GeneratorSpec, max_attempts: int = 1000) -> list[Quadruple]
     return out
 
 
-def _generate_one(family: str, size: int, rng: random.Random, max_attempts: int) -> Quadruple:
+def _generate_one(family: str, size: int, rng: random.Random) -> Quadruple:
     if family == "counterexample":
         return counterexample_instance()
     if family == "classic":
         return _gen_classic(size, rng)
     if family == "strong":
-        return _gen_strong(size, rng, max_attempts)
+        return _gen_strong(size, rng)
     if family == "triple_lift":
         return _gen_triple_lift(size, rng)
     if family == "zero_padded_nilpotent":
-        return _gen_zero_padded_nilpotent(size, rng, max_attempts)
+        return _gen_zero_padded_nilpotent(size, rng)
     if family == "block_diagonal_mix":
-        return _gen_block_mix(size, rng, max_attempts)
+        return _gen_block_mix(size, rng)
     raise AssertionError(family)
 
 
@@ -160,8 +163,8 @@ def _gen_classic(n: int, rng: random.Random) -> Quadruple:
     return Quadruple(a, b, b, a)
 
 
-def _gen_strong(n: int, rng: random.Random, max_attempts: int) -> Quadruple:
-    for _ in range(max_attempts):
+def _gen_strong(n: int, rng: random.Random) -> Quadruple:
+    for _ in range(MAX_ATTEMPTS):
         a = _rand_upper_triangular(n, rng)
         d = _rand_upper_triangular(n, rng)
         b = _rand_matrix(n, rng, -2, 2)
@@ -169,7 +172,7 @@ def _gen_strong(n: int, rng: random.Random, max_attempts: int) -> Quadruple:
         if c is not None:
             return Quadruple(a, b, c, d)
     raise GenerationExhaustedError(
-        f"no solvable (a, d, b) for the strong premise in {max_attempts} attempts"
+        f"no solvable (a, d, b) for the strong premise in {MAX_ATTEMPTS} attempts"
     )
 
 
@@ -205,7 +208,7 @@ def _gen_triple_lift(n: int, rng: random.Random) -> Quadruple:
     return Quadruple(a, b, c, a)
 
 
-def _gen_zero_padded_nilpotent(n: int, rng: random.Random, max_attempts: int) -> Quadruple:
+def _gen_zero_padded_nilpotent(n: int, rng: random.Random) -> Quadruple:
     core = rng.randint(2, n)
     nil = _rand_nilpotent(core, rng)
     u = _rand_unimodular(core, rng)
@@ -224,7 +227,7 @@ def _gen_zero_padded_nilpotent(n: int, rng: random.Random, max_attempts: int) ->
     return _direct_sum(blocks)
 
 
-def _gen_block_mix(n: int, rng: random.Random, max_attempts: int) -> Quadruple:
+def _gen_block_mix(n: int, rng: random.Random) -> Quadruple:
     parts: list[int] = []
     remaining = n
     while remaining:
@@ -239,7 +242,7 @@ def _gen_block_mix(n: int, rng: random.Random, max_attempts: int) -> Quadruple:
             choices += ["strong", "zero_padded_nilpotent"]
         if s == 2:
             choices.append("counterexample")
-        blocks.append(_generate_one(rng.choice(choices), s, rng, max_attempts))
+        blocks.append(_generate_one(rng.choice(choices), s, rng))
     return _direct_sum(blocks)
 
 

@@ -156,9 +156,12 @@ def dumps_pretty(obj: Any) -> str:
 
 
 def loads(text: str) -> Any:
+    """json.loads, with every way it refuses text raised as ParseError: a
+    syntax error, an integer of more digits than int() converts (a
+    ValueError) and nesting deeper than the recursion limit."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
 
 

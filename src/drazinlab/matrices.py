@@ -21,9 +21,11 @@ null-space basis, {1}-inverse), is the same exact value whatever route the
 elimination takes.
 
 `GaussianRational` is the scalar only at the API boundary: the
-constructor, `entry`, `row_list`, `to_rows` and `entries`. The JSON codec
-builds a matrix from integer (re, im, den) triples through `_from_parts`,
-the same integer-level constructor that `Matrix(rows, cols, entries)` uses.
+constructor, `entry`, `to_rows`, `entries` and `scale`'s argument. It has
+no arithmetic of its own, and `*` is the matrix product only: `scale` is
+the one path for a scalar multiple. The JSON codec builds a matrix from
+integer (re, im, den) triples through `_from_parts`, the same
+integer-level constructor that `Matrix(rows, cols, entries)` uses.
 """
 
 from __future__ import annotations
@@ -238,11 +240,8 @@ class Matrix:
         im = 0 if self.im is None else Fraction(self.im[i][j], self.den)
         return GaussianRational(Fraction(self.re[i][j], self.den), im)
 
-    def row_list(self, i: int) -> list[GaussianRational]:
-        return [self.entry(i, j) for j in range(self.cols)]
-
     def to_rows(self) -> list[list[GaussianRational]]:
-        return [self.row_list(i) for i in range(self.rows)]
+        return [[self.entry(i, j) for j in range(self.cols)] for i in range(self.rows)]
 
     @property
     def entries(self) -> tuple[GaussianRational, ...]:
@@ -291,8 +290,6 @@ class Matrix:
         return Matrix._make(self.den * sden, re, im)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            return self.scale(other)
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.cols != other.rows:
@@ -301,11 +298,6 @@ class Matrix:
             )
         re, im = _bilinear(_gmul, self.re, self.im, other.re, other.im)
         return Matrix._make(self.den * other.den, re, im)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            return self.scale(other)
-        return NotImplemented
 
     def __pow__(self, n: int) -> "Matrix":
         if not isinstance(n, int) or n < 0:
@@ -364,10 +356,10 @@ class Matrix:
         return hash((self.den, self.re, self.im))
 
     def __repr__(self):
-        return f"Matrix.from_rows({[[str(e) for e in self.row_list(i)] for i in range(self.rows)]})"
+        return f"Matrix.from_rows({[[str(e) for e in row] for row in self.to_rows()]})"
 
     def __str__(self):
-        cells = [[str(e) for e in self.row_list(i)] for i in range(self.rows)]
+        cells = [[str(e) for e in row] for row in self.to_rows()]
         width = max(len(c) for row in cells for c in row)
         return "\n".join("[" + "  ".join(c.rjust(width) for c in row) + "]" for row in cells)
 

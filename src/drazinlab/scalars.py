@@ -5,11 +5,13 @@ positive denominator, so equality on a pair of fractions is structural and
 needs no tolerance anywhere. Values are immutable by convention: no method
 mutates, and instances hash by value.
 
-`GaussianRational` is the scalar of the public API: matrix entries are
-read and written as these values. Matrix arithmetic runs on integer grids
-(see matrices.py) and the JSON codec reads and writes those grids
-directly (see jsonio.py); neither uses this class. Rational strings, from
-the CLI or from JSON, are validated in one place, `_parse_ratio`.
+`GaussianRational` is a boundary value, not a number type: matrix entries
+are read and written as these values, and it offers equality (also
+against `int` and `Fraction`), hashing, truth and printing, but no
+arithmetic. All arithmetic runs on the matrices' integer grids (see
+matrices.py), and the JSON codec reads and writes those grids directly
+(see jsonio.py). Rational strings, from the CLI or from JSON, are
+validated in one place, `_parse_ratio`.
 """
 
 from __future__ import annotations
@@ -60,74 +62,18 @@ class GaussianRational:
         self.re = re
         self.im = im
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def norm_sq(self) -> Fraction:
-        """|z|^2 = re^2 + im^2, an exact nonnegative rational."""
-        return self.re * self.re + self.im * self.im
-
     def is_zero(self) -> bool:
         return not self.re and not self.im
 
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
 
-    def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b, c, d = self.re, self.im, other.re, other.im
-        return GaussianRational(a * c - b * d, a * d + b * c)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        n = other.norm_sq()
-        if not n:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
-
-    def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if isinstance(other, GaussianRational):
+            return self.re == other.re and self.im == other.im
+        if isinstance(other, (int, Fraction)):
+            return self.re == other and not self.im
+        return NotImplemented
 
     def __hash__(self):
         return hash((self.re, self.im))
@@ -144,10 +90,3 @@ class GaussianRational:
         sign = "+" if self.im > 0 else ""
         return f"{self.re}{sign}{im}"
 
-
-def _coerce(value):
-    if isinstance(value, GaussianRational):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return GaussianRational(value)
-    return NotImplemented

@@ -164,11 +164,13 @@ def jacobson_inverse(a: Matrix, b: Matrix) -> Matrix:
     eye = Matrix.identity(a.rows)
     alpha = eye - a * b
     beta = eye - b * a
-    if rank(alpha) < a.rows:
+    try:
+        alpha_inv = inverse(alpha)
+    except SingularMatrixError:
         if rank(beta) == a.rows:
-            raise InternalInvariantError("1-ab singular but 1-ba invertible")
-        raise SingularMatrixError("1-ab is singular (and so is 1-ba)")
-    result = eye + b * inverse(alpha) * a
+            raise InternalInvariantError("1-ab singular but 1-ba invertible") from None
+        raise SingularMatrixError("1-ab is singular (and so is 1-ba)") from None
+    result = eye + b * alpha_inv * a
     if result * beta != eye:
         raise InternalInvariantError("transferred inverse failed verification")
     return result

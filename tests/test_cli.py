@@ -1,11 +1,15 @@
+import copy
 import json
 import shlex
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from drazinlab import Matrix, jsonio
+from drazinlab import GaussianRational, Matrix, jsonio
 from drazinlab.cli import build_parser, main
 from drazinlab.generators import GeneratorSpec, MAX_SIZE, counterexample_instance, gen_family
 from drazinlab.transfer import MAX_POWER, power_instance
@@ -205,3 +209,90 @@ def test_unknown_family_is_usage_error():
     with pytest.raises(SystemExit) as exc_info:
         main(["verify", "--family", "nope"])
     assert exc_info.value.code == 2
+
+
+# -- hostile input files ---------------------------------------------------------
+
+INPUT_COMMANDS = (["drazin"], ["transfer"], ["check-conditions"], ["power", "--n", "2"])
+
+
+def run_on_file(command, path):
+    return main([command[0], "--input", str(path), *command[1:]])
+
+
+HOSTILE_FILES = {
+    # json.loads raises RecursionError
+    "deep_nesting": b"[" * 1000 + b"]" * 1000,
+    # reading the file raises UnicodeDecodeError
+    "not_utf8": b"\xff\xfe",
+    # json.loads raises ValueError: more digits than int() converts
+    "overlong_json_integer": b'{"rows": ' + b"1" * 5000 + b', "cols": 1, "entries": []}',
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_FILES))
+def test_hostile_file_is_bad_input_on_every_command(tmp_path, capsys, name):
+    path = tmp_path / "in.json"
+    path.write_bytes(HOSTILE_FILES[name])
+    for command in INPUT_COMMANDS:
+        assert run_on_file(command, path) == 2, command
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+MATRIX_OBJ = jsonio.matrix_to_obj(
+    Matrix.from_rows([[Fraction(1, 2), GaussianRational(0, 1)], [3, -1]])
+)
+QUADRUPLE_OBJ = jsonio.quadruple_to_obj(counterexample_instance())
+JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 9), st.text(max_size=4),
+    st.sampled_from(["1/0", "-3/2", "0", "1" * 5000]),
+)
+SPLICES = st.sampled_from([b"[" * 1000, b"1" * 5000, b"\xff", b"{", b'"']) | st.binary(max_size=8)
+
+
+def _paths(obj, prefix=()):
+    yield prefix
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def input_files(draw):
+    """Bytes of an input file: random bytes, a matrix or quadruple file with
+    a splice of bytes, or one with a JSON value replaced or removed."""
+    kind = draw(st.sampled_from(("bytes", "splice", "value")))
+    if kind == "bytes":
+        return draw(st.binary(max_size=64))
+    obj = copy.deepcopy(draw(st.sampled_from((MATRIX_OBJ, QUADRUPLE_OBJ))))
+    if kind == "splice":
+        text = jsonio.dumps(obj).encode()
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 8)))
+        return text[:i] + draw(SPLICES) + text[j:]
+    path = draw(st.sampled_from(list(_paths(obj))))
+    if not path:
+        return jsonio.dumps(draw(JSON_LEAVES)).encode()
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    if draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(JSON_LEAVES | st.lists(JSON_LEAVES, max_size=3))
+    return jsonio.dumps(obj).encode()
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(input_files())
+def test_any_input_file_ends_in_an_exit_code(tmp_path, capsys, content):
+    path = tmp_path / "in.json"
+    path.write_bytes(content)
+    for command in INPUT_COMMANDS:
+        code = run_on_file(command, path)
+        captured = capsys.readouterr()
+        assert code in (0, 1, 2), command
+        if code == 2:
+            assert captured.err.startswith("error:"), command

@@ -23,13 +23,17 @@ from drazinlab import (
 )
 from util import (
     RATIONALS,
+    ZERO,
     as_matrix,
     commutant_basis_reference,
     assert_matrix_equals,
+    g_sum,
     grids,
     rand_gauss_matrix,
     rand_int_matrix,
     rand_rank_matrix,
+    scalar_add,
+    scalar_sub,
 )
 
 J2 = as_matrix([[0, 1], [0, 0]])
@@ -293,23 +297,23 @@ def commutant_inputs(draw, max_size=6):
     if style == "e1_eigenvector":
         rows = draw(grids(n, n))
         for i in range(1, n):
-            rows[i][0] = GaussianRational(0)
+            rows[i][0] = ZERO
         return as_matrix(rows)
     if style == "ones_eigenvector":
         rows, eigenvalue = draw(grids(n, n)), draw(GAUSS_CELL)
         for row in rows:
-            row[-1] = eigenvalue - sum(row[:-1], GaussianRational(0))
+            row[-1] = scalar_sub(eigenvalue, g_sum(row[:-1]))
         return as_matrix(rows)
     # Jordan blocks of one repeated eigenvalue (zero for "nilpotent"),
     # then possibly a block of a second one
-    eigenvalue = GaussianRational(0) if style == "nilpotent" else draw(GAUSS_CELL)
+    eigenvalue = ZERO if style == "nilpotent" else draw(GAUSS_CELL)
     sizes, left = [], n
     while left:
         sizes.append(draw(st.integers(1, left)))
         left -= sizes[-1]
     blocks = [jordan_block(size, eigenvalue) for size in sizes]
     if style == "jordan" and len(blocks) > 2 and draw(st.booleans()):
-        blocks[-1] = jordan_block(sizes[-1], eigenvalue + 1)
+        blocks[-1] = jordan_block(sizes[-1], scalar_add(eigenvalue, GaussianRational(1)))
     p = draw(unit_triangular_conjugator(n))
     return p * block_diag(*blocks) * inverse(p)
 

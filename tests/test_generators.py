@@ -10,7 +10,7 @@ from drazinlab.generators import (
     counterexample_instance,
     gen_family,
 )
-from drazinlab import jsonio
+from drazinlab import generators, jsonio
 from util import as_matrix, grids, strong_c_reference
 
 
@@ -89,9 +89,10 @@ def test_spec_validation():
         GeneratorSpec("block_diagonal_mix", 1)
 
 
-def test_generation_exhaustion_is_reported():
-    with pytest.raises(GenerationExhaustedError):
-        gen_family(GeneratorSpec("strong", 3, seed=1, count=1), max_attempts=0)
+def test_generation_exhaustion_is_reported(monkeypatch):
+    monkeypatch.setattr(generators, "MAX_ATTEMPTS", 0)
+    with pytest.raises(GenerationExhaustedError, match="in 0 attempts"):
+        gen_family(GeneratorSpec("strong", 3, seed=1, count=1))
 
 
 def test_strong_family_mixes_singular_and_invertible_alpha():

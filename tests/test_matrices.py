@@ -166,8 +166,16 @@ def test_transpose_antihomomorphism():
 def test_scale_and_fraction_entries():
     a = as_matrix([[Fraction(1, 2), 1], [0, Fraction(-3, 2)]])
     assert a.scale(2) == as_matrix([[1, 2], [0, -3]])
-    assert 2 * a == a.scale(2)
     assert a.scale(GaussianRational(0, 1)).entry(0, 0) == GaussianRational(0, Fraction(1, 2))
+
+
+def test_star_is_the_matrix_product_only():
+    a = as_matrix([[1, 2], [3, 4]])
+    for scalar in (2, Fraction(1, 2), GaussianRational(0, 1)):
+        with pytest.raises(TypeError):
+            a * scalar
+        with pytest.raises(TypeError):
+            scalar * a
 
 
 def test_null_space_basis():

@@ -20,7 +20,7 @@ from drazinlab import (
     rref,
     solve,
 )
-from util import DIMS, g_add, g_mul, g_rref, grids
+from util import DIMS, ZERO, g_add, g_mul, g_rref, g_sub, grids, scalar_sub
 
 core = settings(max_examples=80, deadline=None)
 
@@ -37,7 +37,7 @@ def test_product_and_sum(data):
     c = data.draw(grids(n, k))
     assert as_matrix(a) * as_matrix(b) == as_matrix(g_mul(a, b))
     assert as_matrix(a) + as_matrix(c) == as_matrix(g_add(a, c))
-    assert as_matrix(a) - as_matrix(c) == as_matrix(g_add(a, [[-x for x in r] for r in c]))
+    assert as_matrix(a) - as_matrix(c) == as_matrix(g_sub(a, c))
 
 
 @core
@@ -81,7 +81,7 @@ def test_solve_matches_oracle(data):
     if any(pc >= m for pc in pivots):
         assert x is None
         return
-    sol = [[GaussianRational(0)] * k for _ in range(m)]
+    sol = [[ZERO] * k for _ in range(m)]
     for r, pc in enumerate(pivots):
         sol[pc] = want[r][m:]
     assert x == as_matrix(sol)
@@ -99,7 +99,7 @@ def test_null_space_matches_oracle(a):
     for f, v in zip(free, basis):
         vec = [[GaussianRational(int(j == f))] for j in range(cols)]
         for r, pc in enumerate(pivots):
-            vec[pc] = [-want[r][f]]
+            vec[pc] = [scalar_sub(ZERO, want[r][f])]
         assert v == as_matrix(vec)
         assert as_matrix(g_mul(a, v.to_rows())).is_zero()
 

@@ -25,6 +25,7 @@ from drazinlab import (
     transfer_gdrazin,
     transfer_group,
 )
+import drazinlab.matrices as matrices_module
 import drazinlab.transfer as transfer_module
 from drazinlab.generators import FAMILIES, GeneratorSpec, counterexample_instance, gen_family
 from util import (
@@ -155,6 +156,26 @@ def test_jacobson_inverse_random_invertible_pairs():
         result = jacobson_inverse(a, b)
         assert (eye - b * a) * result == eye
         done += 1
+
+
+def test_jacobson_inverse_eliminates_alpha_once(monkeypatch):
+    eliminated = []
+    rref = matrices_module.rref
+
+    def counting_rref(m):
+        eliminated.append(m)
+        return rref(m)
+
+    monkeypatch.setattr(matrices_module, "rref", counting_rref)
+    a = as_matrix([[0, 1], [0, 0]])
+    b = as_matrix([[0, 0], [2, 0]])
+    jacobson_inverse(a, b)
+    assert len(eliminated) == 1  # inverse(1 - ab), with no rank check first
+    eliminated.clear()
+    eye = Matrix.identity(2)
+    with pytest.raises(SingularMatrixError):
+        jacobson_inverse(eye, eye)
+    assert len(eliminated) == 2  # then rank(1 - ba) on the singular branch
 
 
 def test_jacobson_inverse_shape_guard():

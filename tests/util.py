@@ -3,11 +3,14 @@
 The int-list helpers below are an independent oracle: they compute with
 plain Python integers on lists of lists, never touching the library's
 matrix type, so frozen expectations derived from them genuinely
-cross-check the implementation.
+cross-check the implementation. The Gaussian-rational list oracle owns its
+arithmetic too: four scalar functions on the `Fraction` parts, since
+`GaussianRational` is only a value with no operators.
 """
 
 import random
 from fractions import Fraction
+from functools import reduce
 from math import comb
 
 from hypothesis import strategies as st
@@ -66,22 +69,51 @@ def rand_gauss_matrix(rng: random.Random, rows: int, cols: int | None = None) ->
 
 
 # Gaussian-rational list oracle: the same role as the int-list helpers for
-# matrices with rational and complex entries. It computes entry by entry
-# with `GaussianRational` arithmetic on lists of lists, so it shares no code
+# matrices with rational and complex entries. It computes entry by entry on
+# lists of lists of `GaussianRational`, with the four scalar operations
+# below written out on the (re, im) Fractions, so it shares no arithmetic
 # with the library's integer-grid matrix core.
+
+ZERO = GaussianRational(0)
+
+
+def scalar_add(x, y):
+    return GaussianRational(x.re + y.re, x.im + y.im)
+
+
+def scalar_sub(x, y):
+    return GaussianRational(x.re - y.re, x.im - y.im)
+
+
+def scalar_mul(x, y):
+    return GaussianRational(x.re * y.re - x.im * y.im, x.re * y.im + x.im * y.re)
+
+
+def scalar_inv(x):
+    """1 / x = conj(x) / |x|^2, for x != 0."""
+    norm = x.re * x.re + x.im * x.im
+    return GaussianRational(x.re / norm, -x.im / norm)
+
+
+def g_sum(values):
+    return reduce(scalar_add, values, ZERO)
 
 
 def g_mul(a, b):
     k = len(b)
     assert len(a[0]) == k
     return [
-        [sum((a[i][t] * b[t][j] for t in range(k)), GaussianRational(0)) for j in range(len(b[0]))]
+        [g_sum(scalar_mul(a[i][t], b[t][j]) for t in range(k)) for j in range(len(b[0]))]
         for i in range(len(a))
     ]
 
 
 def g_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return [[scalar_add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def g_sub(a, b):
+    return [[scalar_sub(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def g_rref(a):
@@ -95,12 +127,12 @@ def g_rref(a):
         if p is None:
             continue
         work[r], work[p] = work[p], work[r]
-        inv = GaussianRational(1) / work[r][c]
-        work[r] = [v * inv for v in work[r]]
+        inv = scalar_inv(work[r][c])
+        work[r] = [scalar_mul(v, inv) for v in work[r]]
         for i in range(nrows):
             if i != r and work[i][c]:
                 f = work[i][c]
-                work[i] = [v - f * w for v, w in zip(work[i], work[r])]
+                work[i] = [scalar_sub(v, scalar_mul(f, w)) for v, w in zip(work[i], work[r])]
         pivots.append(c)
     return work, len(pivots), tuple(pivots)
 
