@@ -6,7 +6,6 @@ from .errors import (
     GenerationExhaustedError,
     IdentityFalsifiedError,
     InternalInvariantError,
-    InternalInvertibilityError,
     NoGroupInverseError,
     ParseError,
     ShapeError,

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import chain
 from operator import mul
 
-from .errors import InternalInvariantError, NoGroupInverseError, ShapeError
+from .errors import InternalInvariantError, NoGroupInverseError, ShapeError, SingularMatrixError
 from .matrices import (
     Matrix,
     _aligned,
@@ -34,7 +34,6 @@ from .matrices import (
     _null_rows,
     block_diag,
     inverse,
-    null_space_basis,
     one_inverse,
     rank,
     rref,
@@ -131,28 +130,29 @@ def oracle_drazin(a: Matrix) -> DrazinData:
     With k the index, columns of a^k spanning its column space and a basis
     of its null space are glued into a change of basis P; then P^-1 a P is
     block diagonal with an invertible core C and a nilpotent tail N, and
-    A^D = P diag(C^-1, 0) P^-1.
+    A^D = P diag(C^-1, 0) P^-1. Each matrix is eliminated once: a^k (the
+    power the rank sequence formed) for its rank, pivot columns and
+    kernel, and P for its inverse, whose failure means the two spaces do
+    not complement.
     """
     _require_square(a, "Drazin inverse")
     n = a.rows
-    k = index_of(a)
+    k, ak = _index_and_power(a)
     if k == 0:
         return DrazinData(inverse(a), 0, Matrix.zeros(n, n))
-    ak = a**k
-    _, r, pivots = rref(ak)
-    kernel = null_space_basis(ak)
-    if r + len(kernel) != n:
-        raise InternalInvariantError("column space and null space dimensions do not add up")
-    columns = ([ak.take_columns(pivots)] if r else []) + kernel
-    p = reduce(Matrix.hstack, columns)
-    if rank(p) != n:
-        raise InternalInvariantError("range and kernel of a^k do not complement")
-    p_inv = inverse(p)
+    reduced = rref(ak)
+    _, r, pivots = reduced
+    # k >= 1 forces r < n: the kernel and the nilpotent tail are never empty
+    kernel = _null_rows(reduced, _free_columns(reduced)).T
+    p = ak.take_columns(pivots).hstack(kernel) if r else kernel
+    try:
+        p_inv = inverse(p)
+    except SingularMatrixError as exc:
+        raise InternalInvariantError("range and kernel of a^k do not complement") from exc
     m = p_inv * a * p
     for g in (m.re, m.im or ()):
         if any(map(any, (row[r:] for row in g[:r]))) or any(map(any, (row[:r] for row in g[r:]))):
             raise InternalInvariantError("similarity did not block-diagonalize")
-    # k >= 1 forces r < n, so the nilpotent tail is always present.
     tail = m.take_rows(range(r, n)).take_columns(range(r, n))
     if not (tail**k).is_zero():
         raise InternalInvariantError("tail block is not nilpotent at the index")

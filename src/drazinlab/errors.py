@@ -44,9 +44,5 @@ class InternalInvariantError(RuntimeError):
     """A self-check inside a kernel failed; indicates a bug, not bad input."""
 
 
-class InternalInvertibilityError(InternalInvariantError):
-    """A matrix that is provably invertible under the preconditions was singular."""
-
-
 class GenerationExhaustedError(RuntimeError):
     """Rejection sampling failed to produce an instance within the attempt bound."""

@@ -143,7 +143,10 @@ def corpus_from_obj(obj: Any) -> tuple[dict[str, Any], list[Quadruple]]:
     instances = obj.get("instances")
     if not isinstance(instances, list):
         raise ParseError("corpus missing its instances array")
-    return dict(obj.get("spec", {})), [quadruple_from_obj(it) for it in instances]
+    spec = obj.get("spec", {})
+    if not isinstance(spec, dict):
+        raise ParseError("corpus spec must be a JSON object")
+    return dict(spec), [quadruple_from_obj(it) for it in instances]
 
 
 def dumps(obj: Any) -> str:

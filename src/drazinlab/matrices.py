@@ -15,10 +15,13 @@ Elimination is fraction-free Gauss-Jordan (Bareiss 1968, Math. Comp. 22):
 each step divides exactly by the previous pivot, so every intermediate
 value is an integer (a Gaussian integer when an imaginary part is present)
 that is a minor of the input, and the reduced row echelon form is read off
-at the end by one division by the last pivot. The reduced row echelon form
+at the end by one division by the last pivot. One loop, `_eliminate`, does
+the pivoting for both rings; only its row step differs: `_z_step` on rows
+of ints, `_zi_step` on rows of (re, im) pairs. The reduced row echelon form
 of a matrix is unique, so it, and everything read off it (inverse, solve,
 null-space basis, {1}-inverse), is the same exact value whatever route the
-elimination takes.
+elimination takes. `inverse`, `solve` and `one_inverse` all read their
+answer off rref([a | b]) through `_read_off`.
 
 `GaussianRational` is the scalar only at the API boundary: the
 constructor, `entry`, `to_rows`, `entries` and `scale`'s argument. It has
@@ -390,9 +393,14 @@ class RrefResult(NamedTuple):
     pivot_cols: tuple[int, ...]
 
 
-def _bareiss(work: list[list[int]]) -> tuple[int, list[int]]:
-    """Fraction-free Gauss-Jordan over Z, in place on `work`.
+def _eliminate(work: list[list], ncols: int, is_pivot, step, one):
+    """Fraction-free Gauss-Jordan, in place on the rows of `work`.
 
+    The one elimination loop: it finds each pivot, swaps it up and sweeps
+    its column out of every other row with step(row, prow, piv, f, prev),
+    which returns (piv row - f prow) / prev, exact by Bareiss's argument;
+    rows with f = 0 and piv = prev are left as they are. `is_pivot` tests
+    an entry for nonzero and `one` is the initial "previous pivot".
     Returns the last pivot D and the pivot columns. Afterwards every pivot
     row holds D at its pivot column and zeros at the other pivot columns,
     the rows below the rank are zero, and work / D is the reduced row
@@ -400,24 +408,20 @@ def _bareiss(work: list[list[int]]) -> tuple[int, list[int]]:
     """
     nrows = len(work)
     pivots: list[int] = []
-    prev = 1
+    prev = one
     r = 0
-    for c in range(len(work[0])):
-        p = next((i for i in range(r, nrows) if work[i][c]), None)
+    for c in range(ncols):
+        p = next((i for i in range(r, nrows) if is_pivot(work[i][c])), None)
         if p is None:
             continue
         work[r], work[p] = work[p], work[r]
         prow = work[r]
         piv = prow[c]
         for i in range(nrows):
-            if i == r:
-                continue
-            row = work[i]
-            f = row[c]
-            if f:
-                work[i] = [(piv * x - f * y) // prev for x, y in zip(row, prow)]
-            elif piv != prev:
-                work[i] = [piv * x // prev for x in row]
+            if i != r:
+                f = work[i][c]
+                if is_pivot(f) or piv != prev:
+                    work[i] = step(work[i], prow, piv, f, prev)
         pivots.append(c)
         prev = piv
         r += 1
@@ -426,67 +430,49 @@ def _bareiss(work: list[list[int]]) -> tuple[int, list[int]]:
     return prev, pivots
 
 
-def _bareiss_gaussian(wre: list[list[int]], wim: list[list[int]]):
-    """`_bareiss` over Z[i]: the work matrix is wre + wim i.
+def _z_step(row, prow, piv, f, prev):
+    """The row step over Z, on rows of ints."""
+    if f:
+        return [(piv * x - f * y) // prev for x, y in zip(row, prow)]
+    return [piv * x // prev for x in row]
+
+
+def _zi_step(row, prow, piv, f, prev):
+    """The row step over Z[i], on rows of (re, im) pairs.
 
     Division by the previous pivot q is exact in Z[i]; it is done as
     multiplication by conj(q) followed by exact division by |q|^2.
-    Returns the last pivot as an (re, im) pair and the pivot columns.
     """
-    nrows = len(wre)
-    pivots: list[int] = []
-    qr, qi = 1, 0
-    r = 0
-    for c in range(len(wre[0])):
-        p = next((i for i in range(r, nrows) if wre[i][c] or wim[i][c]), None)
-        if p is None:
-            continue
-        wre[r], wre[p] = wre[p], wre[r]
-        wim[r], wim[p] = wim[p], wim[r]
-        yre, yim = wre[r], wim[r]
-        pr, pi = yre[c], yim[c]
-        norm = qr * qr + qi * qi
-        for i in range(nrows):
-            if i == r:
-                continue
-            xre, xim = wre[i], wim[i]
-            fr, fi = xre[c], xim[c]
-            # t = piv * x - f * y, then t / q = t * conj(q) / |q|^2
-            if fr or fi:
-                tre = [pr * a - pi * b - fr * u + fi * v for a, b, u, v in zip(xre, xim, yre, yim)]
-                tim = [pr * b + pi * a - fr * v - fi * u for a, b, u, v in zip(xre, xim, yre, yim)]
-            elif pr != qr or pi != qi:
-                tre = [pr * a - pi * b for a, b in zip(xre, xim)]
-                tim = [pr * b + pi * a for a, b in zip(xre, xim)]
-            else:
-                continue
-            wre[i] = [(a * qr + b * qi) // norm for a, b in zip(tre, tim)]
-            wim[i] = [(b * qr - a * qi) // norm for a, b in zip(tre, tim)]
-        pivots.append(c)
-        qr, qi = pr, pi
-        r += 1
-        if r == nrows:
-            break
-    return (qr, qi), pivots
+    (pr, pi), (fr, fi), (qr, qi) = piv, f, prev
+    norm = qr * qr + qi * qi
+    # t = piv x - f y, then t / q = t conj(q) / |q|^2
+    if fr or fi:
+        t = [
+            (pr * a - pi * b - fr * u + fi * v, pr * b + pi * a - fr * v - fi * u)
+            for (a, b), (u, v) in zip(row, prow)
+        ]
+    else:
+        t = [(pr * a - pi * b, pr * b + pi * a) for a, b in row]
+    return [((a * qr + b * qi) // norm, (b * qr - a * qi) // norm) for a, b in t]
 
 
 def rref(a: Matrix) -> RrefResult:
     """Reduced row echelon form, by fraction-free Gauss-Jordan elimination.
 
-    The denominator of `a` does not change its row space, so only its
-    integer grids are eliminated.
+    One loop, `_eliminate`, with the row step of Z for a real matrix and
+    of Z[i] otherwise. The denominator of `a` does not change its row
+    space, so only its integer grids are eliminated.
     """
     if a.im is None:
         work = [list(row) for row in a.re]
-        d, pivots = _bareiss(work)
+        d, pivots = _eliminate(work, a.cols, bool, _z_step, 1)
         reduced = Matrix._make(d, tuple(map(tuple, work)), None)
     else:
-        wre = [list(row) for row in a.re]
-        wim = [list(row) for row in a.im]
-        (dr, di), pivots = _bareiss_gaussian(wre, wim)
-        # work / d = work * conj(d) / |d|^2
-        re = tuple(tuple(x * dr + y * di for x, y in zip(u, v)) for u, v in zip(wre, wim))
-        im = tuple(tuple(y * dr - x * di for x, y in zip(u, v)) for u, v in zip(wre, wim))
+        work = [list(zip(u, v)) for u, v in zip(a.re, a.im)]
+        (dr, di), pivots = _eliminate(work, a.cols, any, _zi_step, (1, 0))
+        # work / d = work conj(d) / |d|^2
+        re = tuple(tuple(x * dr + y * di for x, y in row) for row in work)
+        im = tuple(tuple(y * dr - x * di for x, y in row) for row in work)
         reduced = Matrix._make(dr * dr + di * di, re, im)
     return RrefResult(reduced, len(pivots), tuple(pivots))
 
@@ -500,13 +486,11 @@ def inverse(a: Matrix) -> Matrix:
     if not a.is_square():
         raise ShapeError("inverse requires a square matrix")
     n = a.rows
-    reduced, _, pivots = rref(a.hstack(Matrix.identity(n)))
-    # invertible iff every pivot lands in the left block
-    if pivots[:n] != tuple(range(n)):
-        raise SingularMatrixError(
-            f"matrix of rank {sum(pc < n for pc in pivots)} < {n} has no inverse"
-        )
-    return reduced.take_columns(range(n, 2 * n))
+    x, r, singular = _read_off(a, Matrix.identity(n))
+    # rref([a | I]) has rank n, so a pivot falls right exactly when rank(a) < n
+    if singular:
+        raise SingularMatrixError(f"matrix of rank {r} < {n} has no inverse")
+    return x
 
 
 def _null_rows(result: RrefResult, free: Sequence[int]) -> Matrix:
@@ -542,18 +526,14 @@ def null_space_basis(a: Matrix) -> list[Matrix]:
     if not free:
         return []
     vectors = _null_rows(result, free)
-
-    def column(row):
-        return tuple((v,) for v in row)
-
-    ims = (None,) * len(free) if vectors.im is None else map(column, vectors.im)
-    return [Matrix._make(vectors.den, column(re), im) for re, im in zip(vectors.re, ims)]
+    return [vectors.take_rows([t]).T for t in range(len(free))]
 
 
-def _read_off(a: Matrix, b: Matrix) -> tuple[Matrix, bool]:
-    """rref([a | b]) read as an a.cols x b.cols matrix X, and whether a
-    pivot fell in the right block (if not, a X = b). Row pc of X is the
-    right block of the pivot row at column pc of a; other rows are zero."""
+def _read_off(a: Matrix, b: Matrix) -> tuple[Matrix, int, bool]:
+    """rref([a | b]) read as an a.cols x b.cols matrix X, with rank(a) and
+    whether a pivot fell in the right block (if not, a X = b). Row pc of X
+    is the right block of the pivot row at column pc of a; other rows are
+    zero."""
     reduced, _, pivots = rref(a.hstack(b))
     left = [pc for pc in pivots if pc < a.cols]
 
@@ -564,14 +544,14 @@ def _read_off(a: Matrix, b: Matrix) -> tuple[Matrix, bool]:
         return tuple(rows)
 
     im = None if reduced.im is None else place(reduced.im)
-    return Matrix._make(reduced.den, place(reduced.re), im), len(left) < len(pivots)
+    return Matrix._make(reduced.den, place(reduced.re), im), len(left), len(left) < len(pivots)
 
 
 def solve(a: Matrix, b: Matrix) -> Matrix | None:
     """One exact solution of a x = b (free variables set to 0), or None."""
     if a.rows != b.rows:
         raise ShapeError("solve requires matching row counts")
-    x, inconsistent = _read_off(a, b)
+    x, _, inconsistent = _read_off(a, b)
     return None if inconsistent else x
 
 
@@ -583,7 +563,7 @@ def one_inverse(a: Matrix) -> Matrix:
     (Ben-Israel and Greville, Generalized Inverses, ch. 1). Only
     a G a = a is relied on, and it is checked.
     """
-    g, _ = _read_off(a, Matrix.identity(a.rows))
+    g, _, _ = _read_off(a, Matrix.identity(a.rows))
     if a * g * a != a:
         raise InternalInvariantError("one_inverse failed its defining identity")
     return g

@@ -76,7 +76,8 @@ class GaussianRational:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value equals its real part, so it must hash like it too
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"

@@ -44,7 +44,6 @@ from .errors import (
     ConditionsViolatedError,
     IdentityFalsifiedError,
     InternalInvariantError,
-    InternalInvertibilityError,
     NoGroupInverseError,
     ShapeError,
     SingularMatrixError,
@@ -244,7 +243,7 @@ def _evaluate_transfer(q: Quadruple, alpha: Matrix, alpha_data: DrazinData) -> T
     try:
         resolvent = inverse(eye - p * alpha * (eye + q.bd))
     except SingularMatrixError as exc:
-        raise InternalInvertibilityError(
+        raise InternalInvariantError(
             "1 - p alpha (1+bd) singular: conditions violated or kernel bug"
         ) from exc
     bac = q.b * ac

@@ -32,6 +32,7 @@ from util import (
     rand_gauss_matrix,
     rand_int_matrix,
     rand_rank_matrix,
+    record_calls,
     scalar_add,
     scalar_sub,
 )
@@ -253,17 +254,24 @@ def test_drazin_reuses_the_index_power(monkeypatch):
     # route 2 + 2 + 2 products, a A^D one, the self-check five; a^4 is
     # the power the rank sequence already formed
     shift = as_matrix([[int(j == i + 1) for j in range(4)] for i in range(4)])
-    products = []
-    mul = Matrix.__mul__
-
-    def counting_mul(left, right):
-        products.append((left, right))
-        return mul(left, right)
-
-    monkeypatch.setattr(Matrix, "__mul__", counting_mul)
+    products = record_calls(monkeypatch, Matrix, "__mul__")
     data = drazin(shift)
     assert data.index == 4 and data.dinv.is_zero()
     assert len(products) == 16
+
+
+def test_oracle_eliminates_the_power_and_the_basis_change_once(monkeypatch):
+    a = as_matrix([[2, 1, 0], [0, 0, 1], [0, 0, 0]])  # index 2, rank(a^2) = 1
+    a2 = a * a
+    a3 = a2 * a
+    rrefs = record_calls(monkeypatch, "drazinlab.matrices", "rref")
+    ranks = record_calls(monkeypatch, "drazinlab.matrices", "rank")
+    inverses = record_calls(monkeypatch, "drazinlab.matrices", "inverse")
+    data = oracle_drazin(a)
+    assert data.index == 2
+    assert ranks == [(a,), (a2,), (a3,)]  # the rank sequence only: no rank(P)
+    assert rrefs.count((a2,)) == 2  # rank(a^2) there, then the splitting once
+    assert [m.rows for (m,) in inverses] == [3, 1]  # P once, then the 1x1 core
 
 
 # -- the commutant -------------------------------------------------------------

@@ -110,6 +110,9 @@ def test_corpus_roundtrip():
         jsonio.corpus_from_obj({"version": 2, "instances": []})
     with pytest.raises(ParseError):
         jsonio.corpus_from_obj({"version": 1})
+    for spec in (5, None, [1], "ab"):
+        with pytest.raises(ParseError, match="spec"):
+            jsonio.corpus_from_obj({"version": 1, "instances": [], "spec": spec})
 
 
 def test_dumps_is_deterministic():

@@ -17,6 +17,7 @@ from drazinlab import (
     SingularMatrixError,
     inverse,
     null_space_basis,
+    one_inverse,
     rref,
     solve,
 )
@@ -65,7 +66,10 @@ def test_inverse_matches_oracle(data):
     eye = [[GaussianRational(int(i == j)) for j in range(n)] for i in range(n)]
     want, _, pivots = g_rref([ra + re for ra, re in zip(a, eye)])
     if pivots == tuple(range(n)):
-        assert inverse(as_matrix(a)) == as_matrix([row[n:] for row in want])
+        inv = inverse(as_matrix(a))
+        assert inv == as_matrix([row[n:] for row in want])
+        # the three read-offs of rref([a | I]) agree on an invertible a
+        assert inv == one_inverse(as_matrix(a)) == solve(as_matrix(a), as_matrix(eye))
     else:
         with pytest.raises(SingularMatrixError):
             inverse(as_matrix(a))

@@ -20,6 +20,12 @@ def test_equality_is_structural():
     assert hash(GaussianRational(1, 2)) == hash(GaussianRational(1, 2))
 
 
+def test_real_value_hashes_like_its_real_part():
+    # equal values must hash alike, or a set holds 1 and GaussianRational(1) twice
+    assert len({1, GaussianRational(1)}) == 1
+    assert hash(GaussianRational(Fraction(1, 2))) == hash(Fraction(1, 2))
+
+
 def test_scalar_is_a_value_without_arithmetic():
     z = GaussianRational(1, 2)
     for op in ("__add__", "__sub__", "__mul__", "__truediv__", "__neg__", "conjugate", "norm_sq"):

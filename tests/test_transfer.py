@@ -25,7 +25,6 @@ from drazinlab import (
     transfer_gdrazin,
     transfer_group,
 )
-import drazinlab.matrices as matrices_module
 import drazinlab.transfer as transfer_module
 from drazinlab.generators import FAMILIES, GeneratorSpec, counterexample_instance, gen_family
 from util import (
@@ -36,6 +35,7 @@ from util import (
     imat_sub,
     power_reference,
     rand_int_matrix,
+    record_calls,
 )
 
 # a fixed dense quadruple that satisfies none of the identities
@@ -159,14 +159,7 @@ def test_jacobson_inverse_random_invertible_pairs():
 
 
 def test_jacobson_inverse_eliminates_alpha_once(monkeypatch):
-    eliminated = []
-    rref = matrices_module.rref
-
-    def counting_rref(m):
-        eliminated.append(m)
-        return rref(m)
-
-    monkeypatch.setattr(matrices_module, "rref", counting_rref)
+    eliminated = record_calls(monkeypatch, "drazinlab.matrices", "rref")
     a = as_matrix([[0, 1], [0, 0]])
     b = as_matrix([[0, 0], [2, 0]])
     jacobson_inverse(a, b)
@@ -307,23 +300,11 @@ def test_transfer_group_refusal_runs_drazin_once(monkeypatch):
     assert calls == [Matrix.identity(5) - q.b * q.d]
 
 
-def _count_products(monkeypatch) -> list:
-    products = []
-    mul = Matrix.__mul__
-
-    def counting_mul(left, right):
-        products.append((left, right))
-        return mul(left, right)
-
-    monkeypatch.setattr(Matrix, "__mul__", counting_mul)
-    return products
-
-
 def test_transfer_drazin_forms_ac_and_bd_once(monkeypatch):
     (generated,) = gen_family(GeneratorSpec("strong", 4, seed=1, count=1))
     # a new object, as a quadruple decoded from JSON is
     q = Quadruple(generated.a, generated.b, generated.c, generated.d)
-    products = _count_products(monkeypatch)
+    products = record_calls(monkeypatch, Matrix, "__mul__")
     assert transfer_drazin(q).agrees
     assert products.count((q.a, q.c)) == 1
     assert products.count((q.b, q.d)) == 1
@@ -356,7 +337,7 @@ def test_check_conditions_forms_seven_products(monkeypatch):
     (generated,) = gen_family(GeneratorSpec("strong", 4, seed=1, count=1))
     q = Quadruple(generated.a, generated.b, generated.c, generated.d)
     q.ac  # memoized, as every caller of the check finds it
-    products = _count_products(monkeypatch)
+    products = record_calls(monkeypatch, Matrix, "__mul__")
     check_conditions(q)
     # d b, then e (ac), e (db), (b e) a and (c e) d; the literal sides took 13
     assert len(products) == 7
@@ -366,7 +347,7 @@ def test_power_instance_forms_fewer_products_than_binomial_sums(monkeypatch):
     (generated,) = gen_family(GeneratorSpec("strong", 4, seed=1, count=1))
     q = Quadruple(generated.a, generated.b, generated.c, generated.d)
     q.conditions
-    products = _count_products(monkeypatch)
+    products = record_calls(monkeypatch, Matrix, "__mul__")
     # the binomial construction formed 16, 19 and 23 products here, as the
     # battery calls it: n = 1, 2, 3 in turn on one quadruple
     for n, binomial in ((1, 16), (2, 19), (3, 23)):

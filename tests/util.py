@@ -8,7 +8,9 @@ arithmetic too: four scalar functions on the `Fraction` parts, since
 `GaussianRational` is only a value with no operators.
 """
 
+import importlib
 import random
+import sys
 from fractions import Fraction
 from functools import reduce
 from math import comb
@@ -31,6 +33,35 @@ def imat_sub(a, b):
 
 def imat_eye(n):
     return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def record_calls(monkeypatch, owner, name: str) -> list:
+    """Record the arguments of every call of owner.name, as tuples in call
+    order, for the rest of the test.
+
+    `owner` is a class or a module's dotted name. A name bound by
+    `from .matrices import rref` is a separate reference in the importing
+    module, so every loaded drazinlab module that holds the callable gets
+    the recorder too. The module is looked up through importlib because
+    `import drazinlab.drazin` yields the function `drazin`, which the
+    package exports over its submodule.
+    """
+    if isinstance(owner, str):
+        owner = importlib.import_module(owner)
+    calls = []
+    orig = getattr(owner, name)
+
+    def recorder(*args):
+        calls.append(args)
+        return orig(*args)
+
+    monkeypatch.setattr(owner, name, recorder)
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "drazinlab":
+            for attr, value in list(vars(module).items()):
+                if value is orig:
+                    monkeypatch.setattr(module, attr, recorder)
+    return calls
 
 
 def as_matrix(rows) -> Matrix:
