@@ -13,7 +13,9 @@ anything else. `main` alone maps exceptions to a message and exit code,
 so every command treats an error alike: `ValueError` (which covers
 ParseError, ShapeError, ConditionsViolatedError and a file that is not
 UTF-8), `OSError` and NoGroupInverseError exit 2; IdentityFalsifiedError
-and InternalInvariantError exit 1 as "falsified".
+and InternalInvariantError exit 1 as "falsified". After the message, a
+falsification prints each of its two sides that is set
+(IdentityFalsifiedError's `lhs`, then `rhs`) as one JSON matrix per line.
 """
 
 from __future__ import annotations
@@ -141,10 +143,17 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, OSError, NoGroupInverseError) as exc:
-        message, code = str(exc), 2
+        message, code, witness = str(exc), 2, ()
     except (IdentityFalsifiedError, InternalInvariantError) as exc:
         message, code = f"falsified: {exc}", 1
+        witness = (getattr(exc, "lhs", None), getattr(exc, "rhs", None))
     print(f"error: {message}", file=sys.stderr)
+    for side in witness:
+        if side is not None:
+            try:
+                print(jsonio.dumps(jsonio.matrix_to_obj(side)), file=sys.stderr)
+            except ValueError:
+                print("error: witness too large to print", file=sys.stderr)
     return code
 
 

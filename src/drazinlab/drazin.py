@@ -6,10 +6,11 @@ core-nilpotent splitting. They must agree entrywise on every input; a
 disagreement is a kernel bug, never a property of the input.
 
 A Drazin inverse lies in the double commutant of its matrix (Drazin 1958,
-Amer. Math. Monthly 65). `commutant_basis` solves {X : X a = a X} from its
-small side, through Krylov chains, and reads off the same basis the
-n^2 x n^2 Kronecker system would give; `in_double_commutant` tests the
-double commutant as the polynomial algebra of the matrix.
+Amer. Math. Monthly 65). `commutant_basis` reads {X : X a = a X} off the
+powers of a nonderogatory matrix and solves it through Krylov chains for a
+derogatory one, with the basis the n^2 x n^2 Kronecker system would give;
+`in_double_commutant` tests the double commutant as the polynomial
+algebra of the matrix.
 """
 
 from __future__ import annotations
@@ -174,37 +175,63 @@ def _numerator_powers(a: Matrix, top: int) -> list[Matrix]:
     return powers[: top + 1]
 
 
+def _reversed_vecs(blocks):
+    """One row per grid in `blocks`: its entries row-major, reversed."""
+    return tuple(tuple(chain.from_iterable(b))[::-1] for b in blocks)
+
+
 @lru_cache(maxsize=256)
 def commutant_basis(a: Matrix) -> tuple[Matrix, ...]:
     """The basis of {X : X a = a X} that is the identity on its free coordinates.
 
-    Chains: take the generators v_1 = (1, ..., 1), v_i = e_i for i >= 2
-    and A = den * a. The pivot columns of rref([K | I]), with
-    K = [v_i, A v_i, ..., A^n v_i] for i = 1..n, are A^j v_i for j < d_i:
-    a basis W of Q(i)^n, and the right block is W^-1. Each chain with
-    d_i > 0 closes with a relation A^(d_i) v_i = sum c A^j' v_i' over the
-    pivots up to it, read off the same elimination. X commutes with A
-    exactly when the images y_i = X v_i satisfy A^(d_i) y_i =
-    sum c A^j' y_i' (then X A = A X on W), and X = [A^j y_i] W^-1. So the
-    system solved is (m n) x (m n) for m chains, and block lower
-    triangular: a relation refers to its own chain and earlier ones. When
-    v_1 is cyclic there is one chain, the system is zero by
-    Cayley-Hamilton and the commutant is {p(a)}. (With e_1 first, every
-    upper triangular matrix would give n chains of length one, since e_1
-    is an eigenvector.)
+    That is the null-space basis of the n^2 x n^2 system X a - a X = 0 (X
+    row-major), whose free coordinates are the positions that can be the
+    last nonzero entry of a commuting matrix. So the reduced row echelon
+    form of any spanning set, entries in reverse order, has its pivots
+    exactly there, and read back in reverse it is that basis.
 
-    Read-off: the null-space basis of the n^2 x n^2 system X a - a X = 0
-    (X row-major) is the unique basis of the commutant that is the
-    identity on its free coordinates F, and F is the set of positions that
-    can be the last nonzero entry of a commuting matrix. The reduced row
-    echelon form of the spanning matrices, with their entries in reverse
-    order, has its pivots exactly there, so read back in reverse it is
-    that basis, in the same order.
+    The commutant holds I, A, ..., A^(n-1) (A = den * a) and has dimension
+    n exactly when they are independent, i.e. when a is nonderogatory
+    (Frobenius; Horn and Johnson, Topics in Matrix Analysis, ch. 4): then
+    these powers are the spanning set. A derogatory a takes
+    `_chain_spanning_set`.
     """
     _require_square(a, "commutant")
     n = a.rows
+    powers = _numerator_powers(a, n - 1)
+    canon, k, _ = rref(_gather(powers, _reversed_vecs))
+    if k < n:
+        powers.append(powers[-1] * powers[1])
+        spanning = _chain_spanning_set(powers)
+        canon, k, _ = rref(spanning)
+        if k != spanning.rows:
+            raise InternalInvariantError("commutant spanning set is not independent")
+
+    def element(t):
+        im = None if canon.im is None else _grid(canon.im[t][::-1], n)
+        return Matrix._make(canon.den, _grid(canon.re[t][::-1], n), im)
+
+    return tuple(element(t) for t in reversed(range(k)))
+
+
+def _chain_spanning_set(powers: list[Matrix]) -> Matrix:
+    """The commutant of A = powers[1] from its small side, as independent
+    rows, each an X flattened row-major and reversed; powers = [I, ..., A^n].
+
+    Take the generators v_1 = (1, ..., 1), v_i = e_i for i >= 2. The pivot
+    columns of rref([K | I]), with K = [v_i, A v_i, ..., A^n v_i] for
+    i = 1..n, are A^j v_i for j < d_i: a basis W of Q(i)^n, and the right
+    block is W^-1. Each chain with d_i > 0 closes with a relation
+    A^(d_i) v_i = sum c A^j' v_i' over the pivots up to it, read off the
+    same elimination. X commutes with A exactly when the images y_i = X v_i
+    satisfy A^(d_i) y_i = sum c A^j' y_i' (then X A = A X on W), and
+    X = [A^j y_i] W^-1. So the system solved is (m n) x (m n) for m
+    chains, and block lower triangular: a relation refers to its own chain
+    and earlier ones. (With e_1 first, every upper triangular matrix would
+    give n chains of length one, since e_1 is an eigenvector.)
+    """
+    n = powers[0].rows
     w = n + 1  # Krylov columns per chain
-    powers = _numerator_powers(a, n)
     _, grids = _aligned(powers)  # zeros for a missing im grid
     pw_re = [g for g, _ in grids]
     pw_im = None if grids[0][1] is None else [g for _, g in grids]
@@ -264,19 +291,7 @@ def commutant_basis(a: Matrix) -> tuple[Matrix, ...]:
         None if reduced.im is None else tuple(row[n * w :] for row in reduced.im),
     )
     xs = Matrix._make(1, re, im) * w_inv
-    # one row per solution: its X flattened row-major, in reverse order
-    spanning = xs._apply(lambda g: tuple(
-        tuple(chain.from_iterable(g[t * n : t * n + n]))[::-1] for t in range(k)
-    ))
-    canon, rank_, _ = rref(spanning)
-    if rank_ != k:
-        raise InternalInvariantError("commutant spanning set is not independent")
-
-    def element(t):
-        im = None if canon.im is None else _grid(canon.im[t][::-1], n)
-        return Matrix._make(canon.den, _grid(canon.re[t][::-1], n), im)
-
-    return tuple(element(t) for t in reversed(range(k)))
+    return xs._apply(lambda g: _reversed_vecs(g[t * n : t * n + n] for t in range(k)))
 
 
 def random_commutant_element(a: Matrix, seed: int) -> Matrix:
@@ -309,7 +324,5 @@ def in_double_commutant(a: Matrix, y: Matrix) -> bool:
     if (y.rows, y.cols) != (n, n):
         raise ShapeError(f"double commutant of a {n}x{n} matrix needs a {n}x{n} y")
     columns = _numerator_powers(a, n - 1) + [Matrix._make(1, y.re, y.im)]
-    stacked = _gather(columns, lambda g: tuple(
-        tuple(m[r][s] for m in g) for r in range(n) for s in range(n)
-    ))
+    stacked = _gather(columns, lambda g: tuple(zip(*map(chain.from_iterable, g))))
     return n not in rref(stacked).pivot_cols

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from drazinlab import GaussianRational, Matrix, jsonio
+from drazinlab import GaussianRational, IdentityFalsifiedError, Matrix, jsonio, transfer
 from drazinlab.cli import build_parser, main
 from drazinlab.generators import GeneratorSpec, MAX_SIZE, counterexample_instance, gen_family
 from drazinlab.transfer import MAX_POWER, power_instance
@@ -114,6 +114,33 @@ def test_transfer_command_rejects_generic(tmp_path, capsys):
     path = write_quadruple(tmp_path / "q.json", bad)
     code = main(["transfer", "--input", path, "--mode", "drazin"])
     assert code == 2
+
+
+@pytest.mark.parametrize("sides", ["both", "lhs only", "none", "too large"])
+def test_falsification_prints_its_witness(tmp_path, capsys, monkeypatch, sides):
+    lhs, rhs = as_matrix([[1, 0], [0, 1]]), as_matrix([[Fraction(1, 2), 0], [0, 1]])
+    if sides == "lhs only":
+        rhs = None
+    elif sides == "none":
+        lhs = rhs = None
+    elif sides == "too large":
+        rhs = Matrix.identity(2).scale(10**5000)
+
+    def falsified(*args):
+        raise IdentityFalsifiedError("sides differ", lhs=lhs, rhs=rhs)
+
+    monkeypatch.setattr(transfer, "_evaluate_transfer", falsified)
+    path = write_quadruple(tmp_path / "q.json", counterexample_instance())
+    assert main(["transfer", "--input", path]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    first, *witness = err.splitlines()
+    assert first == "error: falsified: sides differ"
+    expected = [m for m in (lhs, rhs) if m is not None]
+    if sides == "too large":
+        assert witness[1] == "error: witness too large to print"
+        expected, witness = expected[:1], witness[:1]
+    assert [jsonio.matrix_from_obj(json.loads(line)) for line in witness] == expected
 
 
 def test_check_conditions_command(tmp_path, capsys):

@@ -25,15 +25,20 @@ from util import (
     RATIONALS,
     ZERO,
     as_matrix,
+    bezout_drazin_reference,
     commutant_basis_reference,
     assert_matrix_equals,
+    g_powers,
+    g_rref,
     g_sum,
+    g_vec,
     grids,
     rand_gauss_matrix,
     rand_int_matrix,
     rand_rank_matrix,
     record_calls,
     scalar_add,
+    scalar_mul,
     scalar_sub,
 )
 
@@ -285,13 +290,14 @@ def jordan_block(size, eigenvalue):
 @st.composite
 def commutant_inputs(draw, max_size=6):
     """n x n over Q(i), n <= max_size: dense, low rank, zero, scalar,
-    nilpotent, P diag(Jordan blocks) P^-1 with a repeated eigenvalue, and
-    matrices with e_1 or (1, ..., 1) as an eigenvector, so that it is not
-    cyclic."""
+    nilpotent, P diag(Jordan blocks) P^-1 with a repeated eigenvalue,
+    P C P^-1 for the companion matrix C of a polynomial with a repeated
+    root (nonderogatory, but not diagonalizable), and matrices with e_1 or
+    (1, ..., 1) as an eigenvector, so that it is not cyclic."""
     n = draw(st.integers(1, max_size))
     style = draw(st.sampled_from((
         "dense", "low_rank", "zero", "scalar", "nilpotent", "jordan",
-        "e1_eigenvector", "ones_eigenvector",
+        "companion", "e1_eigenvector", "ones_eigenvector",
     )))
     if style == "dense":
         return as_matrix(draw(grids(n, n)))
@@ -312,6 +318,18 @@ def commutant_inputs(draw, max_size=6):
         for row in rows:
             row[-1] = scalar_sub(eigenvalue, g_sum(row[:-1]))
         return as_matrix(rows)
+    if style == "companion":
+        roots = [draw(GAUSS_CELL)] * min(n, 2) + [draw(GAUSS_CELL) for _ in range(n - 2)]
+        coeffs = [GaussianRational(1)]  # of the monic polynomial, lowest degree first
+        for r in roots:
+            shifted = [ZERO] + coeffs
+            scaled = [scalar_mul(r, c) for c in coeffs] + [ZERO]
+            coeffs = [scalar_sub(x, y) for x, y in zip(shifted, scaled)]
+        rows = [[GaussianRational(int(i == j + 1)) for j in range(n)] for i in range(n)]
+        for i in range(n):
+            rows[i][-1] = scalar_sub(ZERO, coeffs[i])
+        p = draw(unit_triangular_conjugator(n))
+        return p * as_matrix(rows) * inverse(p)
     # Jordan blocks of one repeated eigenvalue (zero for "nilpotent"),
     # then possibly a block of a second one
     eigenvalue = ZERO if style == "nilpotent" else draw(GAUSS_CELL)
@@ -326,11 +344,19 @@ def commutant_inputs(draw, max_size=6):
     return p * block_diag(*blocks) * inverse(p)
 
 
+def powers_are_independent(a):
+    """Whether I, a, ..., a^(n-1) are linearly independent, by the list oracle."""
+    return g_rref([g_vec(p) for p in g_powers(a.to_rows(), a.rows - 1)])[1] == a.rows
+
+
 @settings(max_examples=80, deadline=None)
 @given(commutant_inputs())
 def test_commutant_basis_matches_kronecker_reference(a):
     commutant_basis.cache_clear()
-    assert commutant_basis(a) == commutant_basis_reference(a)
+    basis = commutant_basis(a)
+    assert basis == commutant_basis_reference(a)
+    # the commutant has dimension n exactly when a is nonderogatory
+    assert (len(basis) == a.rows) == powers_are_independent(a)
 
 
 def test_commutant_basis_examples():
@@ -417,3 +443,31 @@ def test_non_polynomial_commutant_elements_are_rejected(size, eigenvalue, data):
         else:
             assert in_double_commutant(beta, y)
     assert rejected > 0
+
+
+def test_nonderogatory_commutant_is_read_off_the_powers(monkeypatch):
+    a = rand_gauss_matrix(random.Random(6), 6)
+    assert powers_are_independent(a)
+    commutant_basis.cache_clear()
+    rrefs = record_calls(monkeypatch, "drazinlab.matrices", "rref")
+    products = record_calls(monkeypatch, Matrix, "__mul__")
+    basis = commutant_basis(a)
+    assert len(rrefs) == 1
+    assert len(products) == 4  # A^2, ..., A^5
+    assert basis == commutant_basis_reference(a)
+
+
+def test_derogatory_commutant_takes_the_krylov_chains(monkeypatch):
+    a = block_diag(J2, J2)
+    commutant_basis.cache_clear()
+    rrefs = record_calls(monkeypatch, "drazinlab.matrices", "rref")
+    basis = commutant_basis(a)
+    # the powers, then [K | I], the chain system and the spanning set
+    assert [m.rows for (m,) in rrefs] == [4, 4, 8, 8]
+    assert basis == commutant_basis_reference(a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(commutant_inputs(max_size=5))
+def test_drazin_matches_the_bezout_route(a):
+    assert drazin(a).dinv == bezout_drazin_reference(a)

@@ -198,6 +198,57 @@ def commutant_basis_reference(a: Matrix) -> tuple[Matrix, ...]:
     return tuple(v.reshape(n, n) for v in null_space_basis(system))
 
 
+def g_powers(a, top):
+    """[a^0, a^1, ..., a^top] of a square row list a."""
+    n = len(a)
+    powers = [[[GaussianRational(int(i == j)) for j in range(n)] for i in range(n)]]
+    for _ in range(top):
+        powers.append(g_mul(powers[-1], a))
+    return powers
+
+
+def g_vec(m):
+    """The entries of a row list, row-major."""
+    return [x for row in m for x in row]
+
+
+def bezout_drazin_reference(a: Matrix) -> Matrix:
+    """A^D = A^l u(A), where x^l g(x) is the minimal polynomial of A, g(0)
+    is not 0, and u x^(l+1) + v g = 1: the Drazin inverse by a third
+    route, through no elimination of the library's.
+
+    A^m, for the least dependent power, is read off the reduced n^2 x (n+1)
+    matrix [vec(A^0), ..., vec(A^n)]: its first free column m holds the
+    coefficients of A^m on the pivots 0..m-1. Then u and v solve the
+    Sylvester system of the Bezout identity, which x^(l+1) and g coprime
+    make nonsingular. On ker g(A) the identity gives u(A) A^(l+1) = I, and
+    A^l vanishes on ker A^l, so A^l u(A) inverts the core and kills the
+    nilpotent part.
+    """
+    n = a.rows
+    powers = g_powers(a.to_rows(), n)
+    reduced, m, _ = g_rref([list(col) for col in zip(*map(g_vec, powers))])
+    minimal = [scalar_sub(ZERO, reduced[j][m]) for j in range(m)] + [GaussianRational(1)]
+    l = next(j for j, c in enumerate(minimal) if c)
+    g = minimal[l:]
+    d = len(g) - 1
+    # unknowns u_0..u_(d-1), v_0..v_l; row k: the coefficient of x^k
+    size = d + l + 1
+    system = [[ZERO] * size + [GaussianRational(int(k == 0))] for k in range(size)]
+    for i in range(d):
+        system[i + l + 1][i] = GaussianRational(1)
+    for j in range(l + 1):
+        for k, c in enumerate(g):
+            system[j + k][d + j] = c
+    solved, rank_, _ = g_rref(system)
+    assert rank_ == size, "x^(l+1) and g are not coprime"
+    dinv = [[ZERO] * n for _ in range(n)]
+    for i in range(d):
+        u_i = solved[i][size]
+        dinv = g_add(dinv, [[scalar_mul(u_i, x) for x in row] for row in powers[l + i]])
+    return as_matrix(dinv)
+
+
 def strong_c_reference(a: Matrix, b: Matrix, d: Matrix) -> Matrix | None:
     """c from a c d = d b d, a c a = d b a by one `solve` on the stacked
     n^2-unknown Kronecker system: the reference for the factored solve in
