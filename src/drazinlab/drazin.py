@@ -6,9 +6,10 @@ core-nilpotent splitting. They must agree entrywise on every input; a
 disagreement is a kernel bug, never a property of the input.
 
 A Drazin inverse lies in the double commutant of its matrix (Drazin 1958,
-Amer. Math. Monthly 65). `commutant_basis` reads {X : X a = a X} off the
-powers of a nonderogatory matrix and solves it through Krylov chains for a
-derogatory one, with the basis the n^2 x n^2 Kronecker system would give;
+Amer. Math. Monthly 65). `commutant_basis` returns the null-space basis
+of the n^2 x n^2 system X a - a X = 0, which depends on the commutant
+alone: it reads that basis off the powers of a nonderogatory matrix, which
+span the commutant, and solves the system only for a derogatory one;
 `in_double_commutant` tests the double commutant as the polynomial
 algebra of the matrix.
 """
@@ -19,19 +20,14 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from operator import mul
 
 from .errors import InternalInvariantError, NoGroupInverseError, ShapeError, SingularMatrixError
 from .matrices import (
     Matrix,
-    _aligned,
-    _bilinear,
     _combination,
     _free_columns,
     _gather,
-    _gcombine,
     _grid,
-    _gzeros,
     _null_rows,
     block_diag,
     inverse,
@@ -180,118 +176,43 @@ def _reversed_vecs(blocks):
     return tuple(tuple(chain.from_iterable(b))[::-1] for b in blocks)
 
 
+def _commutation_system(g):
+    """The n^2 x n^2 grid of X a - a X = 0 for a with grid g, X row-major:
+    row (p, q), column (i, j) is the coefficient of X[i][j] in entry (p, q)."""
+    n = len(g)
+    return tuple(
+        tuple(g[j][q] * (i == p) - g[p][i] * (j == q) for i in range(n) for j in range(n))
+        for p in range(n)
+        for q in range(n)
+    )
+
+
 @lru_cache(maxsize=256)
 def commutant_basis(a: Matrix) -> tuple[Matrix, ...]:
-    """The basis of {X : X a = a X} that is the identity on its free coordinates.
-
-    That is the null-space basis of the n^2 x n^2 system X a - a X = 0 (X
-    row-major), whose free coordinates are the positions that can be the
-    last nonzero entry of a commuting matrix. So the reduced row echelon
-    form of any spanning set, entries in reverse order, has its pivots
-    exactly there, and read back in reverse it is that basis.
+    """The null-space basis of the n^2 x n^2 system X a - a X = 0 (X
+    row-major): one element per free column, in increasing order, with 1
+    there and 0 at the other free columns. The free columns are the
+    positions that can be the last nonzero entry of a commuting matrix, so
+    this basis depends on the commutant alone: the reduced row echelon form
+    of any spanning set, entries in reverse order, has its pivots exactly
+    there, and read back in reverse it is this basis.
 
     The commutant holds I, A, ..., A^(n-1) (A = den * a) and has dimension
     n exactly when they are independent, i.e. when a is nonderogatory
-    (Frobenius; Horn and Johnson, Topics in Matrix Analysis, ch. 4): then
-    these powers are the spanning set. A derogatory a takes
-    `_chain_spanning_set`.
+    (Frobenius; Horn and Johnson, Topics in Matrix Analysis, ch. 4). So the
+    powers are eliminated first; at rank n they span the commutant and the
+    basis is read off them. At rank < n, a is derogatory and the system is
+    solved as it stands.
     """
     _require_square(a, "commutant")
     n = a.rows
-    powers = _numerator_powers(a, n - 1)
-    canon, k, _ = rref(_gather(powers, _reversed_vecs))
-    if k < n:
-        powers.append(powers[-1] * powers[1])
-        spanning = _chain_spanning_set(powers)
-        canon, k, _ = rref(spanning)
-        if k != spanning.rows:
-            raise InternalInvariantError("commutant spanning set is not independent")
-
-    def element(t):
-        im = None if canon.im is None else _grid(canon.im[t][::-1], n)
-        return Matrix._make(canon.den, _grid(canon.re[t][::-1], n), im)
-
-    return tuple(element(t) for t in reversed(range(k)))
-
-
-def _chain_spanning_set(powers: list[Matrix]) -> Matrix:
-    """The commutant of A = powers[1] from its small side, as independent
-    rows, each an X flattened row-major and reversed; powers = [I, ..., A^n].
-
-    Take the generators v_1 = (1, ..., 1), v_i = e_i for i >= 2. The pivot
-    columns of rref([K | I]), with K = [v_i, A v_i, ..., A^n v_i] for
-    i = 1..n, are A^j v_i for j < d_i: a basis W of Q(i)^n, and the right
-    block is W^-1. Each chain with d_i > 0 closes with a relation
-    A^(d_i) v_i = sum c A^j' v_i' over the pivots up to it, read off the
-    same elimination. X commutes with A exactly when the images y_i = X v_i
-    satisfy A^(d_i) y_i = sum c A^j' y_i' (then X A = A X on W), and
-    X = [A^j y_i] W^-1. So the system solved is (m n) x (m n) for m
-    chains, and block lower triangular: a relation refers to its own chain
-    and earlier ones. (With e_1 first, every upper triangular matrix would
-    give n chains of length one, since e_1 is an eigenvector.)
-    """
-    n = powers[0].rows
-    w = n + 1  # Krylov columns per chain
-    _, grids = _aligned(powers)  # zeros for a missing im grid
-    pw_re = [g for g, _ in grids]
-    pw_im = None if grids[0][1] is None else [g for _, g in grids]
-
-    def krylov_rows(g):
-        # row r of [K | I]: A^j v_1 is the row sums of A^j, A^j e_i its column i
-        return tuple(
-            tuple(sum(g[j][r]) for j in range(w))
-            + tuple(g[j][r][i] for i in range(1, n) for j in range(w))
-            + g[0][r]
-            for r in range(n)
-        )
-
-    krylov = rref(_gather(powers, krylov_rows))
-    reduced, _, pivots = krylov
-    lengths = [0] * n
-    for p in pivots:
-        lengths[p // w] += 1
-    chains = [i for i in range(n) if lengths[i]]
-    slot = {i: t * n for t, i in enumerate(chains)}
-    # Row u: the closing relation of chain u as a null vector of K.
-    closing = _null_rows(krylov, [i * w + lengths[i] for i in chains])
-    zero_block = _gzeros(n, n)
-
-    def relations(nu, pw):
-        # row block u: the blocks sum_j nu[u][i*w + j] A^j, i over the chains
-        out = []
-        for row in nu:
-            blocks = []
-            for i in chains:
-                js = [j for j in range(w) if row[i * w + j]]
-                weights = [row[i * w + j] for j in js]
-                blocks.append(_gcombine(weights, [pw[j] for j in js]) if js else zero_block)
-            out.extend(sum((blk[r] for blk in blocks), ()) for r in range(n))
-        return tuple(out)
-
-    re, im = _bilinear(relations, closing.re, closing.im, pw_re, pw_im)
-    system = rref(Matrix._make(1, re, im))
-    images = _null_rows(system, _free_columns(system))
-    k = images.rows
-    terms = [divmod(p, w) for p in pivots]
-
-    def chain_images(y, pw):
-        # row (t, r) of [A^j y_i] for the t-th solution, columns in pivot order
-        out = []
-        for yt in y:
-            ys = {i: yt[o : o + n] for i, o in slot.items()}
-            out.extend(tuple(sum(map(mul, pw[j][r], ys[i])) for i, j in terms) for r in range(n))
-        return tuple(out)
-
-    re, im = _bilinear(chain_images, images.re, images.im, pw_re, pw_im)
-    # W^-1 up to the scalar den of the reduced matrix, which scales every
-    # spanning row alike and so leaves the read-off unchanged
-    w_inv = Matrix._make(
-        1,
-        tuple(row[n * w :] for row in reduced.re),
-        None if reduced.im is None else tuple(row[n * w :] for row in reduced.im),
-    )
-    xs = Matrix._make(1, re, im) * w_inv
-    return xs._apply(lambda g: _reversed_vecs(g[t * n : t * n + n] for t in range(k)))
+    canon, k, _ = rref(_gather(_numerator_powers(a, n - 1), _reversed_vecs))
+    if k == n:
+        vecs = canon._apply(lambda g: tuple(row[::-1] for row in reversed(g)))
+    else:
+        system = rref(a._apply(_commutation_system))
+        vecs = _null_rows(system, _free_columns(system))
+    return tuple(vecs._apply(lambda g, t=t: _grid(g[t], n)) for t in range(vecs.rows))
 
 
 def random_commutant_element(a: Matrix, seed: int) -> Matrix:

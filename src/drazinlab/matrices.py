@@ -334,21 +334,10 @@ class Matrix:
             raise ShapeError("cannot build a matrix from zero rows")
         return self._apply(lambda g: tuple(g[i] for i in indices))
 
-    def reshape(self, rows: int, cols: int) -> "Matrix":
-        """The same entries, row-major, as a rows x cols matrix."""
-        if rows * cols != self.rows * self.cols:
-            raise ShapeError(f"cannot reshape {self.rows}x{self.cols} to {rows}x{cols}")
-        return self._apply(lambda g: _grid(tuple(chain.from_iterable(g)), cols))
-
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
             raise ShapeError("hstack requires equal row counts")
         return _binary(self, other, lambda x, y: tuple(map(add, x, y)))
-
-    def vstack(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.cols:
-            raise ShapeError("vstack requires equal column counts")
-        return _binary(self, other, add)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):

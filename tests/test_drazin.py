@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -349,12 +350,25 @@ def powers_are_independent(a):
     return g_rref([g_vec(p) for p in g_powers(a.to_rows(), a.rows - 1)])[1] == a.rows
 
 
+def assert_canonical_commutant_basis(a, basis):
+    """The shape of the canonical basis, checked with no elimination: every
+    element commutes with a, its last nonzero entry (row-major) is a 1, those
+    positions strictly increase, and every other element is 0 at them."""
+    assert all(x * a == a * x for x in basis)
+    entries = [x.entries for x in basis]
+    lasts = [max(t for t, e in enumerate(v) if e) for v in entries]
+    assert all(v[t] == 1 for v, t in zip(entries, lasts))
+    assert all(s < t for s, t in zip(lasts, lasts[1:]))
+    assert all(not v[t] for u, t in enumerate(lasts) for w, v in enumerate(entries) if u != w)
+
+
 @settings(max_examples=80, deadline=None)
 @given(commutant_inputs())
 def test_commutant_basis_matches_kronecker_reference(a):
     commutant_basis.cache_clear()
     basis = commutant_basis(a)
     assert basis == commutant_basis_reference(a)
+    assert_canonical_commutant_basis(a, basis)
     # the commutant has dimension n exactly when a is nonderogatory
     assert (len(basis) == a.rows) == powers_are_independent(a)
 
@@ -373,6 +387,26 @@ def test_commutant_basis_examples():
         assert commutant_basis(a) == commutant_basis_reference(a)
     assert len(commutant_basis(Matrix.zeros(4, 4))) == 16
     assert len(commutant_basis(block_diag(J2, J2))) == 8
+    # size 8: a scalar matrix's commutant is every matrix, with the unit
+    # matrices as its basis in row-major order
+    units = tuple(
+        as_matrix([[int((i, j) == (p, q)) for j in range(8)] for i in range(8)])
+        for p in range(8)
+        for q in range(8)
+    )
+    assert commutant_basis(Matrix.zeros(8, 8)) == units
+    assert commutant_basis(Matrix.identity(8).scale(GaussianRational(Fraction(-3, 2), 2))) == units
+    # two equal Jordan blocks J4(2): a 4 x 4 block of Toeplitz blocks
+    rng = random.Random(8)
+    upper = [
+        as_matrix([[int(i == j) or rng.randint(-2, 2) * (j > i) for j in range(8)] for i in range(8)])
+        for _ in range(2)
+    ]
+    p = upper[0].T * upper[1]
+    a = p * block_diag(jordan_block(4, 2), jordan_block(4, 2)) * inverse(p)
+    basis = commutant_basis(a)
+    assert len(basis) == 16
+    assert_canonical_commutant_basis(a, basis)
     with pytest.raises(ShapeError):
         in_double_commutant(J2, Matrix.identity(3))
 
@@ -457,13 +491,13 @@ def test_nonderogatory_commutant_is_read_off_the_powers(monkeypatch):
     assert basis == commutant_basis_reference(a)
 
 
-def test_derogatory_commutant_takes_the_krylov_chains(monkeypatch):
+def test_derogatory_commutant_solves_the_sylvester_system(monkeypatch):
     a = block_diag(J2, J2)
     commutant_basis.cache_clear()
     rrefs = record_calls(monkeypatch, "drazinlab.matrices", "rref")
     basis = commutant_basis(a)
-    # the powers, then [K | I], the chain system and the spanning set
-    assert [m.rows for (m,) in rrefs] == [4, 4, 8, 8]
+    # the powers, then the n^2 x n^2 system X a - a X = 0
+    assert [m.rows for (m,) in rrefs] == [4, 16]
     assert basis == commutant_basis_reference(a)
 
 

@@ -1,0 +1,38 @@
+"""No library module imports a name it never uses.
+
+A deletion that removes the last use of a helper should remove its import
+too. For every module of the package except `__init__.py` (which imports
+to re-export), an `ast` walk collects the names each `import` and
+`from ... import` binds and fails on any that no expression of the module
+references.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "drazinlab"
+MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in used]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_uses_every_import(module):
+    assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def test_unused_import_is_found():
+    source = "from itertools import chain\nimport os.path\nfrom math import gcd\ngcd(1, 2)\n"
+    assert unused_imports(source) == ["chain", "os"]

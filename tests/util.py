@@ -13,12 +13,14 @@ import random
 import sys
 from fractions import Fraction
 from functools import reduce
+from itertools import chain
 from math import comb
+from operator import add
 
 from hypothesis import strategies as st
 
 from drazinlab import GaussianRational, Matrix, Quadruple
-from drazinlab.matrices import _bilinear, null_space_basis, solve
+from drazinlab.matrices import _bilinear, _binary, _grid, null_space_basis, solve
 
 
 def imat_mul(a, b):
@@ -188,14 +190,29 @@ def kron(x: Matrix, y: Matrix) -> Matrix:
     return Matrix._make(x.den * y.den, re, im)
 
 
+def reshape(m: Matrix, rows: int, cols: int) -> Matrix:
+    """The same entries, row-major, as a rows x cols matrix."""
+    assert rows * cols == m.rows * m.cols
+    return m._apply(lambda g: _grid(tuple(chain.from_iterable(g)), cols))
+
+
+def vstack(top: Matrix, bottom: Matrix) -> Matrix:
+    """top stacked over bottom."""
+    assert top.cols == bottom.cols
+    return _binary(top, bottom, add)
+
+
 def commutant_basis_reference(a: Matrix) -> tuple[Matrix, ...]:
     """Basis of {X : X a = a X} as the null-space basis of the n^2 x n^2
-    system X a - a X = 0 (X row-major): the reference for the chain
-    construction in `drazin.commutant_basis`."""
+    system X a - a X = 0 (X row-major), with the system formed as
+    kron(I, a^T) - kron(a, I) and solved by `null_space_basis`: the
+    reference for `drazin.commutant_basis`, which reads the same basis off
+    the powers of a nonderogatory a and builds the system entrywise for a
+    derogatory one."""
     n = a.rows
     eye = Matrix.identity(n)
     system = kron(eye, a.T) - kron(a, eye)
-    return tuple(v.reshape(n, n) for v in null_space_basis(system))
+    return tuple(reshape(v, n, n) for v in null_space_basis(system))
 
 
 def g_powers(a, top):
@@ -254,10 +271,10 @@ def strong_c_reference(a: Matrix, b: Matrix, d: Matrix) -> Matrix | None:
     n^2-unknown Kronecker system: the reference for the factored solve in
     `generators._solve_strong_for_c`."""
     n = a.rows
-    system = kron(a, d.T).vstack(kron(a, a.T))
-    rhs = (d * b * d).reshape(n * n, 1).vstack((d * b * a).reshape(n * n, 1))
+    system = vstack(kron(a, d.T), kron(a, a.T))
+    rhs = vstack(reshape(d * b * d, n * n, 1), reshape(d * b * a, n * n, 1))
     x = solve(system, rhs)
-    return None if x is None else x.reshape(n, n)
+    return None if x is None else reshape(x, n, n)
 
 
 def conditions_reference(a: Matrix, b: Matrix, c: Matrix, d: Matrix):
