@@ -108,34 +108,21 @@ def _bilinear(f, xre, xim, yre, yim):
     return re, im
 
 
-def _aligned(mats):
-    """Common denominator of `mats` and each one's (re, im) grids over it.
-
-    The im grids are all None when every matrix is real; otherwise zeros
-    stand in for a missing one.
-    """
+def _gather(mats, f) -> "Matrix":
+    """Matrix built by f from the list of the re grids of `mats` over their
+    common denominator, and likewise from their im grids; f must be
+    Z-linear. The im grids are skipped when every matrix is real;
+    otherwise zeros stand in for a missing one."""
     den = lcm(*(m.den for m in mats))
     complex_ = any(m.im is not None for m in mats)
-    grids = []
+    res, ims = [], []
     for m in mats:
-        im = m.im
-        if im is None and complex_:
-            im = _gzeros(m.rows, m.cols)
         k = den // m.den
-        if k != 1:
-            grids.append((_gscale(m.re, k), None if im is None else _gscale(im, k)))
-        else:
-            grids.append((m.re, im))
-    return den, grids
-
-
-def _gather(mats, f) -> "Matrix":
-    """Matrix built by f from the list of the aligned re grids of `mats`,
-    and likewise from their im grids; f must be Z-linear."""
-    den, grids = _aligned(mats)
-    re = f([g for g, _ in grids])
-    im = None if grids[0][1] is None else f([g for _, g in grids])
-    return Matrix._make(den, re, im)
+        res.append(m.re if k == 1 else _gscale(m.re, k))
+        if complex_:
+            im = _gzeros(m.rows, m.cols) if m.im is None else m.im
+            ims.append(im if k == 1 else _gscale(im, k))
+    return Matrix._make(den, f(res), f(ims) if complex_ else None)
 
 
 def _combination(mats, coeffs) -> "Matrix":
@@ -148,12 +135,6 @@ def _combination(mats, coeffs) -> "Matrix":
         zeros = _gzeros(mats[0].rows, mats[0].cols)
         im = _gcombine(weights, [zeros if m.im is None else m.im for m in mats])
     return Matrix._make(den, _gcombine(weights, [m.re for m in mats]), im)
-
-
-def _binary(a, b, f) -> "Matrix":
-    """f applied to the aligned re grids and to the aligned im grids."""
-    den, ((are, aim), (bre, bim)) = _aligned((a, b))
-    return Matrix._make(den, f(are, bre), None if aim is None else f(aim, bim))
 
 
 class Matrix:
@@ -276,13 +257,13 @@ class Matrix:
         if not isinstance(other, Matrix):
             return NotImplemented
         self._require_same_shape(other)
-        return _binary(self, other, _gadd)
+        return _gather((self, other), lambda g: _gadd(*g))
 
     def __sub__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         self._require_same_shape(other)
-        return _binary(self, other, _gsub)
+        return _gather((self, other), lambda g: _gsub(*g))
 
     def __neg__(self):
         return self._apply(lambda g: _gscale(g, -1))
@@ -337,7 +318,7 @@ class Matrix:
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
             raise ShapeError("hstack requires equal row counts")
-        return _binary(self, other, lambda x, y: tuple(map(add, x, y)))
+        return _gather((self, other), lambda g: tuple(map(add, *g)))
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -360,17 +341,18 @@ def block_diag(*blocks: Matrix) -> Matrix:
     """Direct sum of matrices along the diagonal."""
     if not blocks:
         raise ShapeError("block_diag needs at least one block")
-    den, grids = _aligned(blocks)
     cols = sum(b.cols for b in blocks)
-    re_rows, im_rows = [], []
-    c0 = 0
-    for b, (re, im) in zip(blocks, grids):
-        left, right = (0,) * c0, (0,) * (cols - c0 - b.cols)
-        re_rows.extend(left + row + right for row in re)
-        if im is not None:
-            im_rows.extend(left + row + right for row in im)
-        c0 += b.cols
-    return Matrix._make(den, tuple(re_rows), tuple(im_rows) or None)
+
+    def place(grids):
+        rows, c0 = [], 0
+        for g in grids:
+            width = len(g[0])
+            left, right = (0,) * c0, (0,) * (cols - c0 - width)
+            rows.extend(left + row + right for row in g)
+            c0 += width
+        return tuple(rows)
+
+    return _gather(blocks, place)
 
 
 # -- fraction-free elimination -------------------------------------------------

@@ -19,10 +19,11 @@ Drazin data of beta is an explicit expression in that of alpha:
 
 with p = alpha^pi and x = alpha^D. Every transfer operation here evaluates
 y, recomputes the Drazin inverse of beta directly, and returns both; the
-formula is never trusted on its own. The invertibility of
-1 - p alpha (1 + bd) is itself a consequence of the conditions (p alpha is
-the nilpotent core of alpha), so a singular instance is reported as an
-internal failure rather than swallowed.
+formula is never trusted on its own. The resolvent is a finite sum and
+needs none of the four conditions: m = p alpha (1 + bd) = (p alpha)(2 - alpha),
+p alpha commutes with alpha and vanishes at alpha's index l, so
+m^max(l,1) = 0 and (1 - m)^-1 = sum_{k < max(l,1)} m^k. A nonzero last
+power is reported as an internal failure rather than swallowed.
 
 Note the factor inside the inverse carries the idempotent p: dropping it
 would leave 1 - alpha(1 + bd) = (bd)^2, which is singular for most
@@ -235,17 +236,25 @@ def _alpha_drazin(q: Quadruple) -> tuple[Matrix, DrazinData]:
     return alpha, drazin(alpha)
 
 
+def _resolvent(alpha: Matrix, alpha_data: DrazinData, bd: Matrix) -> Matrix:
+    """(1 - m)^-1 for m = p alpha (1+bd), as the finite sum of m^k over
+    k < max(l, 1), l = alpha's index; m^max(l,1) = 0 is checked."""
+    eye = Matrix.identity(alpha.rows)
+    m = alpha_data.spectral_idempotent * alpha * (eye + bd)
+    resolvent, m_k = eye, m
+    for _ in range(1, max(alpha_data.index, 1)):
+        resolvent, m_k = resolvent + m_k, m_k * m
+    if not m_k.is_zero():
+        raise InternalInvariantError("p alpha (1+bd) not nilpotent within alpha's index: kernel bug")
+    return resolvent
+
+
 def _evaluate_transfer(q: Quadruple, alpha: Matrix, alpha_data: DrazinData) -> TransferOutcome:
     d, ac = q.d, q.ac
     eye = Matrix.identity(q.size)
     beta = eye - ac
     p, x = alpha_data.spectral_idempotent, alpha_data.dinv
-    try:
-        resolvent = inverse(eye - p * alpha * (eye + q.bd))
-    except SingularMatrixError as exc:
-        raise InternalInvariantError(
-            "1 - p alpha (1+bd) singular: conditions violated or kernel bug"
-        ) from exc
+    resolvent = _resolvent(alpha, alpha_data, q.bd)
     bac = q.b * ac
     y = (eye - d * p * resolvent * bac) * (eye + ac) + d * x * bac
     direct = drazin(beta)
@@ -309,27 +318,26 @@ def power_instance(q: Quadruple, n: int) -> Quadruple:
     """Rebuild (a, b', c', d) so that 1 - a c' = (1-ac)^n and 1 - b' d = (1-bd)^n.
 
     c' = c sum_{k<n} (1-ac)^k and b' = sum_{k<n} (1-bd)^k b: the geometric
-    sums telescope, a c' = (1 - (1-ac)) sum_{k<n} (1-ac)^k = 1 - (1-ac)^n,
-    and n = 1 returns c and b themselves. Raises ValueError unless
+    sums telescope, a c' = (1 - (1-ac)) sum_{k<n} (1-ac)^k = 1 - (1-ac)^n.
+    They are grown from q in Horner form, one step per exponent:
+    c' <- c + c' (1-ac) and b' <- b + (1-bd) b', so n = 1 returns q itself,
+    with its memoized ac, bd and report. Raises ValueError unless
     1 <= n <= MAX_POWER, and ConditionsViolatedError when q's memoized
-    condition report fails. Both power identities, and the side conditions
-    of the derived quadruple, are checked before returning.
+    condition report fails. Both power identities, against powers formed
+    by repeated squaring, and the side conditions of the derived quadruple
+    are checked before returning.
     """
     if not 1 <= n <= MAX_POWER:
         raise ValueError(f"power construction needs 1 <= n <= {MAX_POWER}")
     _require_conditions(q)
     eye = Matrix.identity(q.size)
     beta, alpha = eye - q.ac, eye - q.bd
-    c_sum, b_sum = c_term, b_term = q.c, q.b
-    beta_n, alpha_n = beta, alpha
+    derived = q
     for _ in range(1, n):
-        c_term, b_term = c_term * beta, alpha * b_term
-        beta_n, alpha_n = beta_n * beta, alpha_n * alpha
-        c_sum, b_sum = c_sum + c_term, b_sum + b_term
-    derived = Quadruple(q.a, b_sum, c_sum, q.d)
-    if eye - derived.ac != beta_n:
+        derived = Quadruple(q.a, q.b + alpha * derived.b, q.c + derived.c * beta, q.d)
+    if eye - derived.ac != beta**n:
         raise InternalInvariantError("power construction failed for 1 - a c'")
-    if eye - derived.bd != alpha_n:
+    if eye - derived.bd != alpha**n:
         raise InternalInvariantError("power construction failed for 1 - b' d")
     if not derived.conditions.all_hold:
         raise InternalInvariantError("derived quadruple lost the side conditions")

@@ -5,7 +5,8 @@ Per quadruple, in order:
 
 * side conditions -- checked inside `transfer_drazin`, the one transfer call.
 * transfer evaluation -- `transfer_drazin` raised: an index bound failed,
-  the resolvent was singular, or a kernel self-check failed. `drazin`
+  the resolvent's finite sum did not close (p alpha (1+bd) nonzero at
+  alpha's index), or a kernel self-check failed. `drazin`
   checks each result against the defining equations and the core-nilpotent
   part at the index, so a transferred value equal to it needs no more.
 * transfer agreement -- the formula's value differs from the direct one.
@@ -17,10 +18,11 @@ Per quadruple, in order:
   of an n^2 x (n+1) matrix (`in_double_commutant`). The commutant of beta
   itself is never built.
 * power construction -- `power_instance` for n = 1..POWER_MAX, and n = 1
-  must return the quadruple verbatim. Each call builds c' and b' as
-  geometric sums in (1-ac) and (1-bd) and checks both power identities and
-  the derived quadruple's conditions, the latter through the one defect
-  e = ac' - db'; the instance's own report is memoized.
+  must return the quadruple verbatim: it is q itself, whose ac, bd and
+  report are memoized, so it forms no product. Each call n >= 2 grows c'
+  and b' from q in Horner form, c' <- c + c'(1-ac) and b' <- b + (1-bd)b',
+  and checks both power identities and the derived quadruple's
+  conditions, the latter through the one defect e = ac' - db'.
 
 An instance contributes one failure record at most: the first property
 that breaks it. The index pair (i(1-bd), i(1-ac)) of every instance that

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from drazinlab import (
     ConditionsViolatedError,
+    GaussianRational,
     IdentityFalsifiedError,
     Matrix,
     NoGroupInverseError,
@@ -314,6 +315,79 @@ def test_transfer_drazin_forms_ac_and_bd_once(monkeypatch):
     assert (generated.a, generated.c) not in products
 
 
+GAUSS_INTS = st.builds(GaussianRational, st.integers(-2, 2), st.integers(-2, 2))
+NONZERO_GAUSS_INTS = GAUSS_INTS.filter(bool)
+
+
+@st.composite
+def unit_triangular_product(draw, n):
+    """L U with unit-diagonal triangular L, U of Gaussian integers: det 1."""
+
+    def unit(lower):
+        rows = [[int(i == j) for j in range(n)] for i in range(n)]
+        for i in range(n):
+            for j in range(n):
+                if i != j and (i > j) == lower:
+                    rows[i][j] = draw(GAUSS_INTS)
+        return as_matrix(rows)
+
+    return unit(True) * unit(False)
+
+
+@st.composite
+def resolvent_inputs(draw):
+    """(b, d) of sizes 1-5: either arbitrary, or with 1 - bd = S (N + U) S^-1
+    for a nilpotent Jordan-type block N (index up to its size), an upper
+    triangular invertible U and a unit triangular product S."""
+    n = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        return as_matrix(draw(grids(n, n))), as_matrix(draw(grids(n, n)))
+    k = draw(st.integers(0, n))
+
+    def cell(i, j):
+        if i > j or i < k <= j:
+            return 0
+        if i < k:  # the nilpotent block
+            if j == i + 1:
+                return draw(st.sampled_from((1, 1, 0, 2)))
+            return 0 if j == i else draw(GAUSS_INTS)
+        return draw(NONZERO_GAUSS_INTS if i == j else GAUSS_INTS)
+
+    rows = [[cell(i, j) for j in range(n)] for i in range(n)]
+    conj = draw(unit_triangular_product(n))
+    alpha = conj * as_matrix(rows) * inverse(conj)
+    d = draw(unit_triangular_product(n))
+    return (Matrix.identity(n) - alpha) * inverse(d), d
+
+
+@settings(max_examples=60, deadline=None)
+@given(resolvent_inputs())
+def test_resolvent_is_the_finite_sum_property(pair):
+    # no side condition is assumed: the sum closes for any b and d
+    b, d = pair
+    eye = Matrix.identity(b.rows)
+    bd = b * d
+    alpha = eye - bd
+    data = drazin(alpha)
+    m = data.spectral_idempotent * alpha * (eye + bd)
+    assert (m ** max(data.index, 1)).is_zero()
+    # the elimination the finite sum replaced, kept as the reference
+    assert transfer_module._resolvent(alpha, data, bd) == inverse(eye - m)
+
+
+def test_transfer_drazin_eliminates_only_in_its_drazin_calls(monkeypatch):
+    (q,) = gen_family(GeneratorSpec("zero_padded_nilpotent", 4, seed=5, count=1))
+    eye = Matrix.identity(4)
+    eliminated = record_calls(monkeypatch, "drazinlab.matrices", "rref")
+    assert drazin(eye - q.b * q.d).index >= 2
+    drazin(eye - q.a * q.c)
+    expected = list(eliminated)
+    eliminated.clear()
+    assert transfer_drazin(q).agrees
+    # the resolvent is a sum of powers, so no inverse(1 - m) elimination
+    assert eliminated == expected
+
+
 def _memoized_conditions_match_a_fresh_check(q) -> bool:
     fresh = check_conditions(Quadruple(q.a, q.b, q.c, q.d))
     return q.conditions == fresh and q.conditions is q.conditions
@@ -346,14 +420,16 @@ def test_check_conditions_forms_seven_products(monkeypatch):
 def test_power_instance_forms_fewer_products_than_binomial_sums(monkeypatch):
     (generated,) = gen_family(GeneratorSpec("strong", 4, seed=1, count=1))
     q = Quadruple(generated.a, generated.b, generated.c, generated.d)
-    q.conditions
+    q.conditions, q.bd  # memoized, as the battery's transfer leaves them
     products = record_calls(monkeypatch, Matrix, "__mul__")
     # the binomial construction formed 16, 19 and 23 products here, as the
-    # battery calls it: n = 1, 2, 3 in turn on one quadruple
-    for n, binomial in ((1, 16), (2, 19), (3, 23)):
+    # battery calls it: n = 1, 2, 3 in turn on one quadruple. n = 1 is q
+    # itself; n >= 2 forms 2 per Horner step, (1-ac)^n and (1-bd)^n by
+    # squaring, a c', b' d and the check's 7.
+    for n, count, binomial in ((1, 0, 16), (2, 13, 19), (3, 17, 23)):
         products.clear()
         power_instance(q, n)
-        assert len(products) < binomial
+        assert len(products) == count < binomial
 
 
 def test_transfer_group_on_index_one_instances():
@@ -386,6 +462,7 @@ def test_transfer_group_on_index_one_instances():
 def test_power_n1_is_verbatim():
     q = counterexample_instance()
     assert power_instance(q, 1) == q
+    assert power_instance(q, 1) is q
 
 
 def test_power_counterexample_n2():

@@ -7,7 +7,7 @@ from drazinlab import transfer as transfer_module
 from drazinlab import verify as verify_module
 from drazinlab.generators import GeneratorSpec, counterexample_instance, gen_family
 from drazinlab.verify import POWER_MAX, run_battery, summarize
-from util import as_matrix
+from util import as_matrix, power_reference
 
 
 def test_battery_passes_on_generated_corpus():
@@ -111,8 +111,9 @@ def test_battery_checks_conditions_once_per_quadruple(monkeypatch):
             monkeypatch.setattr(module, "check_conditions", counting)
     (q,) = gen_family(GeneratorSpec("strong", 3, seed=1, count=1))
     assert run_battery([q]).ok
-    # the generator's self-check, then one per derived quadruple: the
-    # transfer and the power stage read the instance's memoized report
-    assert len(calls) == 1 + POWER_MAX
+    # the generator's self-check, then one per derived quadruple for
+    # n = 2..POWER_MAX: the transfer reads the instance's memoized report
+    # and n = 1 returns the instance itself
+    assert len(calls) == POWER_MAX
     assert calls[0] is q
-    assert calls[1] == q and calls[1] is not q
+    assert calls[1:] == [power_reference(q, n) for n in range(2, POWER_MAX + 1)]

@@ -15,12 +15,11 @@ from fractions import Fraction
 from functools import reduce
 from itertools import chain
 from math import comb
-from operator import add
 
 from hypothesis import strategies as st
 
 from drazinlab import GaussianRational, Matrix, Quadruple
-from drazinlab.matrices import _bilinear, _binary, _grid, null_space_basis, solve
+from drazinlab.matrices import _bilinear, _gather, _grid, null_space_basis, solve
 
 
 def imat_mul(a, b):
@@ -199,7 +198,7 @@ def reshape(m: Matrix, rows: int, cols: int) -> Matrix:
 def vstack(top: Matrix, bottom: Matrix) -> Matrix:
     """top stacked over bottom."""
     assert top.cols == bottom.cols
-    return _binary(top, bottom, add)
+    return _gather((top, bottom), lambda g: g[0] + g[1])
 
 
 def commutant_basis_reference(a: Matrix) -> tuple[Matrix, ...]:
