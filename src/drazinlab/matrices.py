@@ -9,7 +9,10 @@ structural and a matrix can key a cache.
 
 Products, sums, scaling, transposes and the structural helpers are integer
 list arithmetic followed by one gcd normalisation, which is skipped when
-the denominator is 1 (generated instances are integer matrices).
+the denominator is 1 (generated instances are integer matrices). A product
+with a zero or identity factor returns the canonical result, the zero
+matrix or the other factor, without multiplying: on generated instances
+the transfer's defect ac - db and spectral idempotent are usually zero.
 
 Elimination is fraction-free Gauss-Jordan (Bareiss 1968, Math. Comp. 22):
 each step divides exactly by the previous pivot, so every intermediate
@@ -34,6 +37,7 @@ integer-level constructor that `Matrix(rows, cols, entries)` uses.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from math import gcd, lcm
 from operator import add, mul, sub
@@ -93,6 +97,11 @@ def _gcombine(weights, grids):
 
 def _gzeros(rows, cols):
     return ((0,) * cols,) * rows
+
+
+@lru_cache(maxsize=64)
+def _geye(n):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def _bilinear(f, xre, xim, yre, yim):
@@ -210,7 +219,7 @@ class Matrix:
     def identity(cls, n: int) -> "Matrix":
         if n <= 0:
             raise ShapeError(f"matrix dimensions must be positive, got {n}x{n}")
-        return cls._make(1, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), None)
+        return cls._make(1, _geye(n), None)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
@@ -239,7 +248,9 @@ class Matrix:
         return self.im is None and not any(map(any, self.re))
 
     def is_identity(self) -> bool:
-        return self.is_square() and self == Matrix.identity(self.rows)
+        return (
+            self.is_square() and self.den == 1 and self.im is None and self.re == _geye(self.rows)
+        )
 
     # -- ring operations ---------------------------------------------------
 
@@ -280,6 +291,12 @@ class Matrix:
             raise ShapeError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
+        if self.is_zero() or other.is_zero():
+            return Matrix.zeros(self.rows, other.cols)
+        if self.is_identity():
+            return other
+        if other.is_identity():
+            return self
         re, im = _bilinear(_gmul, self.re, self.im, other.re, other.im)
         return Matrix._make(self.den * other.den, re, im)
 

@@ -24,6 +24,7 @@ from util import (
     rand_gauss_matrix,
     rand_int_matrix,
     rand_rank_matrix,
+    record_calls,
 )
 
 
@@ -31,6 +32,14 @@ def test_identity_power():
     eye = Matrix.identity(2)
     assert eye**5 == eye
     assert eye**0 == eye
+
+
+def test_identity_factor_is_not_multiplied(monkeypatch):
+    m = rand_gauss_matrix(random.Random(3), 3, 2).scale(Fraction(1, 6))
+    multiplied = record_calls(monkeypatch, "drazinlab.matrices", "_gmul")
+    assert Matrix.identity(3) * m == m
+    assert m * Matrix.identity(2) == m
+    assert multiplied == []
 
 
 def test_product_matches_int_oracle():

@@ -37,6 +37,11 @@ def test_product_and_sum(data):
     a, b = data.draw(grids(n, k)), data.draw(grids(k, m))
     c = data.draw(grids(n, k))
     assert as_matrix(a) * as_matrix(b) == as_matrix(g_mul(a, b))
+    # a zero or identity factor, which the product returns without multiplying
+    zero_left, zero_right = [[ZERO] * k for _ in range(n)], [[ZERO] * m for _ in range(k)]
+    eye = [[GaussianRational(int(i == j)) for j in range(k)] for i in range(k)]
+    x, y = data.draw(st.sampled_from(((zero_left, b), (a, zero_right), (eye, b), (a, eye))))
+    assert as_matrix(x) * as_matrix(y) == as_matrix(g_mul(x, y))
     assert as_matrix(a) + as_matrix(c) == as_matrix(g_add(a, c))
     assert as_matrix(a) - as_matrix(c) == as_matrix(g_sub(a, c))
 

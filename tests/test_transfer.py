@@ -53,6 +53,23 @@ def test_zero_quadruple_conditions_hold():
     assert check_conditions(Quadruple(z, z, z, z)).all_hold
 
 
+def test_conditions_of_a_zero_defect_multiply_only_ac_and_db(monkeypatch):
+    # classic quadruples have c = b and d = a, so e = ac - db is zero and
+    # the six products of e in the residuals need no multiplication
+    quads = [
+        Quadruple(q.a, q.b, q.c, q.d)  # a fresh quadruple: ac not memoized
+        for size in range(2, 6)
+        for q in gen_family(GeneratorSpec("classic", size=size, seed=size, count=5))
+        if not any(m.is_zero() or m.is_identity() for m in (q.a, q.b))
+    ]
+    assert len(quads) >= 10
+    multiplied = record_calls(monkeypatch, "drazinlab.matrices", "_gmul")
+    for q in quads:
+        multiplied.clear()
+        assert check_conditions(q).all_hold
+        assert len(multiplied) == 2
+
+
 def test_counterexample_conditions_hold():
     report = check_conditions(counterexample_instance())
     assert report.all_hold
