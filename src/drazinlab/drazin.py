@@ -9,7 +9,10 @@ A Drazin inverse lies in the double commutant of its matrix (Drazin 1958,
 Amer. Math. Monthly 65). `commutant_basis` returns the null-space basis
 of the n^2 x n^2 system X a - a X = 0, which depends on the commutant
 alone: it reads that basis off the powers of a nonderogatory matrix, which
-span the commutant, and solves the system only for a derogatory one;
+span the commutant, and solves the system only for a derogatory one.
+The cached basis also keeps its stacked grids as n^2 columns, so that
+`random_commutant_element` forms a sample as one dot product per entry,
+and checks that it commutes by comparing the raw product grids.
 `in_double_commutant` tests the double commutant as the polynomial
 algebra of the matrix.
 """
@@ -20,13 +23,15 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
+from operator import mul
 
 from .errors import InternalInvariantError, NoGroupInverseError, ShapeError, SingularMatrixError
 from .matrices import (
     Matrix,
-    _combination,
+    _bilinear,
     _free_columns,
     _gather,
+    _gmul,
     _grid,
     _null_rows,
     block_diag,
@@ -187,6 +192,10 @@ def _commutation_system(g):
     )
 
 
+class _Basis(tuple):
+    """Commutant basis elements, with their columns kept as `cols`."""
+
+
 @lru_cache(maxsize=256)
 def commutant_basis(a: Matrix) -> tuple[Matrix, ...]:
     """The null-space basis of the n^2 x n^2 system X a - a X = 0 (X
@@ -203,6 +212,9 @@ def commutant_basis(a: Matrix) -> tuple[Matrix, ...]:
     powers are eliminated first; at rank n they span the commutant and the
     basis is read off them. At rank < n, a is derogatory and the system is
     solved as it stands.
+
+    The tuple of elements also keeps, as `cols`, the n^2 x k matrix whose
+    column t is element t row-major; the sampler reads it from this cache.
     """
     _require_square(a, "commutant")
     n = a.rows
@@ -212,22 +224,30 @@ def commutant_basis(a: Matrix) -> tuple[Matrix, ...]:
     else:
         system = rref(a._apply(_commutation_system))
         vecs = _null_rows(system, _free_columns(system))
-    return tuple(vecs._apply(lambda g, t=t: _grid(g[t], n)) for t in range(vecs.rows))
+    basis = _Basis(vecs._apply(lambda g, t=t: _grid(g[t], n)) for t in range(vecs.rows))
+    basis.cols = vecs.T
+    return basis
 
 
 def random_commutant_element(a: Matrix, seed: int) -> Matrix:
     """Seed-deterministic random element of the commutant of `a`.
 
-    One small-integer combination of `commutant_basis(a)`, formed on the
-    integer grids over their common denominator, so the commutation is
-    exact by construction (and re-checked).
+    One small-integer combination of `commutant_basis(a)`: each entry is
+    the dot product of the weights with one cached column, over the
+    columns' common denominator. The commutation is exact by construction
+    and re-checked on the raw grids of x a and a x, which share the
+    denominator den(x) den(a), so they are equal exactly when the products
+    are; a zero or identity factor commutes without multiplying.
     """
     basis = commutant_basis(a)
     rng = random.Random(seed)
-    out = _combination(basis, [rng.randint(-3, 3) for _ in basis])
-    if out * a != a * out:
+    w = [rng.randint(-3, 3) for _ in basis]
+    x = basis.cols._apply(lambda g: _grid([sum(map(mul, w, col)) for col in g], a.cols))
+    if any(m.is_zero() or m.is_identity() for m in (x, a)):
+        return x
+    if _bilinear(_gmul, x.re, x.im, a.re, a.im) != _bilinear(_gmul, a.re, a.im, x.re, x.im):
         raise InternalInvariantError("sampled element fails to commute")
-    return out
+    return x
 
 
 def in_double_commutant(a: Matrix, y: Matrix) -> bool:

@@ -88,13 +88,6 @@ def _grid(flat, cols):
     return tuple(tuple(flat[k : k + cols]) for k in range(0, len(flat), cols))
 
 
-def _gcombine(weights, grids):
-    """sum(w * g) over integer weights and equally shaped grids."""
-    return tuple(
-        tuple(sum(map(mul, weights, cells)) for cells in zip(*rows)) for rows in zip(*grids)
-    )
-
-
 def _gzeros(rows, cols):
     return ((0,) * cols,) * rows
 
@@ -132,18 +125,6 @@ def _gather(mats, f) -> "Matrix":
             im = _gzeros(m.rows, m.cols) if m.im is None else m.im
             ims.append(im if k == 1 else _gscale(im, k))
     return Matrix._make(den, f(res), f(ims) if complex_ else None)
-
-
-def _combination(mats, coeffs) -> "Matrix":
-    """sum(c * m) for integer coefficients, in one pass over the grids: each
-    coefficient absorbs its matrix's factor to the common denominator."""
-    den = lcm(*(m.den for m in mats))
-    weights = [c * (den // m.den) for c, m in zip(coeffs, mats)]
-    im = None
-    if any(m.im is not None for m in mats):
-        zeros = _gzeros(mats[0].rows, mats[0].cols)
-        im = _gcombine(weights, [zeros if m.im is None else m.im for m in mats])
-    return Matrix._make(den, _gcombine(weights, [m.re for m in mats]), im)
 
 
 class Matrix:

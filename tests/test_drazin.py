@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from drazinlab import (
     GaussianRational,
+    InternalInvariantError,
     Matrix,
     block_diag,
     NoGroupInverseError,
@@ -44,6 +46,7 @@ from util import (
 )
 
 J2 = as_matrix([[0, 1], [0, 0]])
+drazin_module = importlib.import_module("drazinlab.drazin")
 
 
 def test_index_examples():
@@ -428,6 +431,32 @@ def test_sampler_matches_matrix_level_combination(a, seed):
     s = random_commutant_element(a, seed)
     assert s == random_commutant_element_reference(a, seed)
     assert s * a == a * s
+
+
+def test_sampler_forms_no_matrix_products(monkeypatch):
+    # the sample is read off the cached columns and its check compares raw
+    # product grids, so a warm basis costs no Matrix product at all
+    a = rand_gauss_matrix(random.Random(3), 4)
+    assert len(commutant_basis(a)) < 16  # not scalar
+    products = record_calls(monkeypatch, Matrix, "__mul__")
+    samples = [random_commutant_element(a, seed) for seed in range(10)]
+    assert products == []
+    assert all(s * a == a * s and not (s.is_zero() or s.is_identity()) for s in samples)
+
+
+GAUSS_J2 = as_matrix([[GaussianRational(0, 1), 1], [0, GaussianRational(0, 1)]])
+
+
+@pytest.mark.parametrize("a", [J2, GAUSS_J2], ids=["real", "gaussian"])
+def test_sampler_check_rejects_a_non_commuting_sample(monkeypatch, a):
+    # diagonal elements do not commute with a Jordan block; seed 1 draws
+    # -2, 1, so the sample diag(-2, 1) is neither zero nor the identity
+    rng = random.Random(1)
+    assert rng.randint(-3, 3) != rng.randint(-3, 3)
+    diagonal = commutant_basis(as_matrix([[1, 0], [0, 2]]))
+    monkeypatch.setattr(drazin_module, "commutant_basis", lambda _: diagonal)
+    with pytest.raises(InternalInvariantError, match="fails to commute"):
+        random_commutant_element(a, 1)
 
 
 def commutes_with_commutant(a, y):
