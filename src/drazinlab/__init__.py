@@ -11,7 +11,7 @@ from .errors import (
     ShapeError,
     SingularMatrixError,
 )
-from .scalars import GaussianRational, parse_rational
+from .scalars import GaussianRational
 from .matrices import (
     Matrix,
     block_diag,

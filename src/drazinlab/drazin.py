@@ -28,8 +28,8 @@ from operator import mul
 from .errors import InternalInvariantError, NoGroupInverseError, ShapeError, SingularMatrixError
 from .matrices import (
     Matrix,
+    RrefResult,
     _bilinear,
-    _free_columns,
     _gather,
     _gmul,
     _grid,
@@ -37,7 +37,6 @@ from .matrices import (
     block_diag,
     inverse,
     one_inverse,
-    rank,
     rref,
 )
 
@@ -56,17 +55,19 @@ def _require_square(a: Matrix, what: str) -> None:
         raise ShapeError(f"{what} requires a square matrix, got {a.rows}x{a.cols}")
 
 
-def _index_and_power(a: Matrix) -> tuple[int, Matrix]:
-    """(index l, a^l): the power is the one the rank sequence has formed."""
+def _index_and_power(a: Matrix) -> tuple[int, Matrix, RrefResult | None]:
+    """(index l, a^l, rref(a^l)): the power and its reduced form are the
+    ones the rank sequence has formed; the reduced form is None at l = 0,
+    since a^0 = I is never eliminated."""
     _require_square(a, "index")
-    prev_rank, prev_power = a.rows, Matrix.identity(a.rows)  # a^0 = I
+    prev_rank, prev_power, prev_reduced = a.rows, Matrix.identity(a.rows), None  # a^0 = I
     power = a
     k = 0
     while True:
-        r = rank(power)
-        if r == prev_rank:
-            return k, prev_power
-        prev_rank, prev_power = r, power
+        reduced = rref(power)
+        if reduced.rank == prev_rank:
+            return k, prev_power, prev_reduced
+        prev_rank, prev_power, prev_reduced = reduced.rank, power, reduced
         power = power * a
         k += 1
 
@@ -109,7 +110,7 @@ def drazin(a: Matrix) -> DrazinData:
     the result is verified against all defining equations before returning.
     """
     _require_square(a, "Drazin inverse")
-    l, al = _index_and_power(a)
+    l, al, _ = _index_and_power(a)
     dinv = inverse(a) if l == 0 else al * one_inverse(al * al * a) * al
     ax = a * dinv
     data = DrazinData(dinv=dinv, index=l, spectral_idempotent=Matrix.identity(a.rows) - ax)
@@ -132,20 +133,19 @@ def oracle_drazin(a: Matrix) -> DrazinData:
     With k the index, columns of a^k spanning its column space and a basis
     of its null space are glued into a change of basis P; then P^-1 a P is
     block diagonal with an invertible core C and a nilpotent tail N, and
-    A^D = P diag(C^-1, 0) P^-1. Each matrix is eliminated once: a^k (the
-    power the rank sequence formed) for its rank, pivot columns and
+    A^D = P diag(C^-1, 0) P^-1. Each matrix is eliminated once: a^k by the
+    rank sequence, whose reduced form gives its rank, pivot columns and
     kernel, and P for its inverse, whose failure means the two spaces do
     not complement.
     """
     _require_square(a, "Drazin inverse")
     n = a.rows
-    k, ak = _index_and_power(a)
+    k, ak, reduced = _index_and_power(a)
     if k == 0:
         return DrazinData(inverse(a), 0, Matrix.zeros(n, n))
-    reduced = rref(ak)
     _, r, pivots = reduced
     # k >= 1 forces r < n: the kernel and the nilpotent tail are never empty
-    kernel = _null_rows(reduced, _free_columns(reduced)).T
+    kernel = _null_rows(reduced).T
     p = ak.take_columns(pivots).hstack(kernel) if r else kernel
     try:
         p_inv = inverse(p)
@@ -222,8 +222,7 @@ def commutant_basis(a: Matrix) -> tuple[Matrix, ...]:
     if k == n:
         vecs = canon._apply(lambda g: tuple(row[::-1] for row in reversed(g)))
     else:
-        system = rref(a._apply(_commutation_system))
-        vecs = _null_rows(system, _free_columns(system))
+        vecs = _null_rows(rref(a._apply(_commutation_system)))
     basis = _Basis(vecs._apply(lambda g, t=t: _grid(g[t], n)) for t in range(vecs.rows))
     basis.cols = vecs.T
     return basis

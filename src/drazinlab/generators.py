@@ -33,15 +33,6 @@ from .errors import GenerationExhaustedError, InternalInvariantError
 from .matrices import Matrix, block_diag, inverse, null_space_basis, one_inverse
 from .transfer import Quadruple
 
-FAMILIES = (
-    "counterexample",
-    "classic",
-    "strong",
-    "triple_lift",
-    "zero_padded_nilpotent",
-    "block_diagonal_mix",
-)
-
 MAX_SIZE = 8
 
 # Draws `_gen_strong` makes before it gives up with GenerationExhaustedError.
@@ -83,29 +74,13 @@ def gen_family(spec: GeneratorSpec) -> list[Quadruple]:
     rng = random.Random(spec.seed)
     out = []
     for _ in range(spec.count):
-        q = _generate_one(spec.family, spec.size, rng)
+        q = _GENERATORS[spec.family](spec.size, rng)
         if not q.conditions.all_hold:
             raise InternalInvariantError(
                 f"family {spec.family!r} emitted a quadruple violating the conditions"
             )
         out.append(q)
     return out
-
-
-def _generate_one(family: str, size: int, rng: random.Random) -> Quadruple:
-    if family == "counterexample":
-        return counterexample_instance()
-    if family == "classic":
-        return _gen_classic(size, rng)
-    if family == "strong":
-        return _gen_strong(size, rng)
-    if family == "triple_lift":
-        return _gen_triple_lift(size, rng)
-    if family == "zero_padded_nilpotent":
-        return _gen_zero_padded_nilpotent(size, rng)
-    if family == "block_diagonal_mix":
-        return _gen_block_mix(size, rng)
-    raise AssertionError(family)
 
 
 # -- random raw material -----------------------------------------------------
@@ -242,7 +217,7 @@ def _gen_block_mix(n: int, rng: random.Random) -> Quadruple:
             choices += ["strong", "zero_padded_nilpotent"]
         if s == 2:
             choices.append("counterexample")
-        blocks.append(_generate_one(rng.choice(choices), s, rng))
+        blocks.append(_GENERATORS[rng.choice(choices)](s, rng))
     return _direct_sum(blocks)
 
 
@@ -253,3 +228,16 @@ def _direct_sum(blocks: list[Quadruple]) -> Quadruple:
         block_diag(*(q.c for q in blocks)),
         block_diag(*(q.d for q in blocks)),
     )
+
+
+# Each family's generator, called with (size, rng); the counterexample
+# ignores both. FAMILIES, the CLI's choices, keeps this order.
+_GENERATORS = {
+    "counterexample": lambda size, rng: counterexample_instance(),
+    "classic": _gen_classic,
+    "strong": _gen_strong,
+    "triple_lift": _gen_triple_lift,
+    "zero_padded_nilpotent": _gen_zero_padded_nilpotent,
+    "block_diagonal_mix": _gen_block_mix,
+}
+FAMILIES = tuple(_GENERATORS)

@@ -27,7 +27,7 @@ elimination takes. `inverse`, `solve` and `one_inverse` all read their
 answer off rref([a | b]) through `_read_off`.
 
 `GaussianRational` is the scalar only at the API boundary: the
-constructor, `entry`, `to_rows`, `entries` and `scale`'s argument. It has
+constructor, `entry`, `to_rows` and `scale`'s argument. It has
 no arithmetic of its own, and `*` is the matrix product only: `scale` is
 the one path for a scalar multiple. The JSON codec builds a matrix from
 integer (re, im, den) triples through `_from_parts`, the same
@@ -216,11 +216,6 @@ class Matrix:
 
     def to_rows(self) -> list[list[GaussianRational]]:
         return [[self.entry(i, j) for j in range(self.cols)] for i in range(self.rows)]
-
-    @property
-    def entries(self) -> tuple[GaussianRational, ...]:
-        """All entries, row-major."""
-        return tuple(chain.from_iterable(self.to_rows()))
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -462,11 +457,13 @@ def inverse(a: Matrix) -> Matrix:
     return x
 
 
-def _null_rows(result: RrefResult, free: Sequence[int]) -> Matrix:
-    """The null-space vectors of a reduced matrix for the free columns
-    `free`, as the rows of one matrix: the vector for free column f has 1
-    at f and -rref[r][f] at the r-th pivot column."""
+def _null_rows(result: RrefResult) -> Matrix:
+    """The null-space vectors of a reduced matrix, one per free column in
+    increasing order, as the rows of one matrix: the vector for free column
+    f has 1 at f and -rref[r][f] at the r-th pivot column. The matrix must
+    have a free column."""
     reduced, _, pivots = result
+    free = sorted(set(range(reduced.cols)).difference(pivots))
 
     def rows(g, one):
         out = []
@@ -482,20 +479,14 @@ def _null_rows(result: RrefResult, free: Sequence[int]) -> Matrix:
     return Matrix._make(reduced.den, rows(reduced.re, reduced.den), im)
 
 
-def _free_columns(result: RrefResult) -> list[int]:
-    pivot_set = set(result.pivot_cols)
-    return [f for f in range(result.matrix.cols) if f not in pivot_set]
-
-
 def null_space_basis(a: Matrix) -> list[Matrix]:
     """Basis of {x : a x = 0}, as a list of cols x 1 column vectors, one
     per free column of rref(a) in increasing order."""
     result = rref(a)
-    free = _free_columns(result)
-    if not free:
+    if result.rank == a.cols:
         return []
-    vectors = _null_rows(result, free)
-    return [vectors.take_rows([t]).T for t in range(len(free))]
+    vectors = _null_rows(result)
+    return [vectors.take_rows([t]).T for t in range(vectors.rows)]
 
 
 def _read_off(a: Matrix, b: Matrix) -> tuple[Matrix, int, bool]:

@@ -10,8 +10,8 @@ are read and written as these values, and it offers equality (also
 against `int` and `Fraction`), hashing, truth and printing, but no
 arithmetic. All arithmetic runs on the matrices' integer grids (see
 matrices.py), and the JSON codec reads and writes those grids directly
-(see jsonio.py). Rational strings, from the CLI or from JSON, are
-validated in one place, `_parse_ratio`.
+(see jsonio.py). Rational strings, which arrive only in JSON (files the
+CLI reads included), are validated in one place, `_parse_ratio`.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ def _parse_ratio(text: str) -> tuple[int, int]:
     """(num, den) of a rational string like '-3/2' or '4', with den > 0 and
     the pair not reduced; reject anything else.
 
-    The one validator of rational strings: `parse_rational` and the JSON
-    decoder both read through it.
+    The one validator of rational strings: the JSON decoder reads through
+    it.
     """
     if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise ParseError(f"malformed rational {text!r} (expected 'p' or 'p/q')")
@@ -42,11 +42,6 @@ def _parse_ratio(text: str) -> tuple[int, int]:
         return int(num), int(den) if den else 1
     except ValueError as exc:  # more digits than int() converts
         raise ParseError(f"rational too long ({len(text)} characters): {exc}") from exc
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse a rational string like '-3/2' or '4'; reject anything else."""
-    return Fraction(*_parse_ratio(text))
 
 
 class GaussianRational:
@@ -61,9 +56,6 @@ class GaussianRational:
             im = Fraction(im)
         self.re = re
         self.im = im
-
-    def is_zero(self) -> bool:
-        return not self.re and not self.im
 
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)

@@ -29,8 +29,9 @@ Note the factor inside the inverse carries the idempotent p: dropping it
 would leave 1 - alpha(1 + bd) = (bd)^2, which is singular for most
 instances of interest.
 
-A `Quadruple` memoizes ac, bd and its side-condition report, which the
-transfers, the power construction and the generators' self-check all read.
+A `Quadruple` memoizes ac, bd, alpha = 1 - bd, beta = 1 - ac and its
+side-condition report, which the transfers, the power construction and
+the generators' self-check all read.
 Matrices and quadruples are immutable, so a memoized value cannot go stale;
 a quadruple decoded from JSON is a new object and is checked anew.
 """
@@ -83,6 +84,14 @@ class Quadruple:
     @cached_property
     def bd(self) -> Matrix:
         return self.b * self.d
+
+    @cached_property
+    def alpha(self) -> Matrix:
+        return Matrix.identity(self.size) - self.bd
+
+    @cached_property
+    def beta(self) -> Matrix:
+        return Matrix.identity(self.size) - self.ac
 
     @cached_property
     def conditions(self) -> ConditionReport:
@@ -230,17 +239,11 @@ def _require_conditions(q: Quadruple) -> None:
         raise ConditionsViolatedError(f"side conditions fail: {'; '.join(failed)}", failed)
 
 
-def _alpha_drazin(q: Quadruple) -> tuple[Matrix, DrazinData]:
-    """alpha = 1 - bd and its Drazin data: the first step of every transfer."""
-    alpha = Matrix.identity(q.size) - q.bd
-    return alpha, drazin(alpha)
-
-
-def _resolvent(alpha: Matrix, alpha_data: DrazinData, bd: Matrix) -> Matrix:
+def _resolvent(q: Quadruple, alpha_data: DrazinData) -> Matrix:
     """(1 - m)^-1 for m = p alpha (1+bd), as the finite sum of m^k over
     k < max(l, 1), l = alpha's index; m^max(l,1) = 0 is checked."""
-    eye = Matrix.identity(alpha.rows)
-    m = alpha_data.spectral_idempotent * alpha * (eye + bd)
+    eye = Matrix.identity(q.size)
+    m = alpha_data.spectral_idempotent * q.alpha * (eye + q.bd)
     resolvent, m_k = eye, m
     for _ in range(1, max(alpha_data.index, 1)):
         resolvent, m_k = resolvent + m_k, m_k * m
@@ -249,12 +252,11 @@ def _resolvent(alpha: Matrix, alpha_data: DrazinData, bd: Matrix) -> Matrix:
     return resolvent
 
 
-def _evaluate_transfer(q: Quadruple, alpha: Matrix, alpha_data: DrazinData) -> TransferOutcome:
-    d, ac = q.d, q.ac
+def _evaluate_transfer(q: Quadruple, alpha_data: DrazinData) -> TransferOutcome:
+    d, ac, beta = q.d, q.ac, q.beta
     eye = Matrix.identity(q.size)
-    beta = eye - ac
     p, x = alpha_data.spectral_idempotent, alpha_data.dinv
-    resolvent = _resolvent(alpha, alpha_data, q.bd)
+    resolvent = _resolvent(q, alpha_data)
     bac = q.b * ac
     y = (eye - d * p * resolvent * bac) * (eye + ac) + d * x * bac
     direct = drazin(beta)
@@ -272,7 +274,7 @@ def transfer_gdrazin(q: Quadruple) -> TransferOutcome:
     """Evaluate the transfer formula for beta = 1 - ac and compare with the
     directly computed Drazin inverse."""
     _require_conditions(q)
-    return _evaluate_transfer(q, *_alpha_drazin(q))
+    return _evaluate_transfer(q, drazin(q.alpha))
 
 
 def transfer_drazin(q: Quadruple) -> TransferOutcome:
@@ -301,10 +303,10 @@ def transfer_group(q: Quadruple) -> TransferOutcome:
     reproduces it exactly.
     """
     _require_conditions(q)
-    alpha, alpha_data = _alpha_drazin(q)
+    alpha_data = drazin(q.alpha)
     if alpha_data.index > 1:
         raise NoGroupInverseError("1-bd has index >= 2, group transfer refused")
-    outcome = _evaluate_transfer(q, alpha, alpha_data)
+    outcome = _evaluate_transfer(q, alpha_data)
     if outcome.beta_index > 1:
         return replace(outcome, agrees=False)
     if outcome.agrees:
@@ -319,25 +321,24 @@ def power_instance(q: Quadruple, n: int) -> Quadruple:
 
     c' = c sum_{k<n} (1-ac)^k and b' = sum_{k<n} (1-bd)^k b: the geometric
     sums telescope, a c' = (1 - (1-ac)) sum_{k<n} (1-ac)^k = 1 - (1-ac)^n.
-    They are grown from q in Horner form, one step per exponent:
-    c' <- c + c' (1-ac) and b' <- b + (1-bd) b', so n = 1 returns q itself,
-    with its memoized ac, bd and report. Raises ValueError unless
+    They are grown from q in Horner form, one step per exponent, from q's
+    memoized alpha = 1 - bd and beta = 1 - ac: c' <- c + c' beta and
+    b' <- b + alpha b', so n = 1 returns q itself, with its memoized ac, bd,
+    alpha, beta and report, and subtracts nothing. Raises ValueError unless
     1 <= n <= MAX_POWER, and ConditionsViolatedError when q's memoized
-    condition report fails. Both power identities, against powers formed
-    by repeated squaring, and the side conditions of the derived quadruple
-    are checked before returning.
+    condition report fails. Both power identities, the derived quadruple's
+    beta and alpha against q's raised to n by repeated squaring, and the
+    side conditions of the derived quadruple are checked before returning.
     """
     if not 1 <= n <= MAX_POWER:
         raise ValueError(f"power construction needs 1 <= n <= {MAX_POWER}")
     _require_conditions(q)
-    eye = Matrix.identity(q.size)
-    beta, alpha = eye - q.ac, eye - q.bd
     derived = q
     for _ in range(1, n):
-        derived = Quadruple(q.a, q.b + alpha * derived.b, q.c + derived.c * beta, q.d)
-    if eye - derived.ac != beta**n:
+        derived = Quadruple(q.a, q.b + q.alpha * derived.b, q.c + derived.c * q.beta, q.d)
+    if derived.beta != q.beta**n:
         raise InternalInvariantError("power construction failed for 1 - a c'")
-    if eye - derived.bd != alpha**n:
+    if derived.alpha != q.alpha**n:
         raise InternalInvariantError("power construction failed for 1 - b' d")
     if not derived.conditions.all_hold:
         raise InternalInvariantError("derived quadruple lost the side conditions")

@@ -208,7 +208,7 @@ def test_block_diag():
     a = Matrix.identity(2)
     b = as_matrix([[5]])
     m = block_diag(a, b)
-    assert m.rows == 3 and m.entry(2, 2) == 5 and m.entry(0, 2).is_zero()
+    assert m.rows == 3 and m.entry(2, 2) == 5 and not m.entry(0, 2)
 
 
 def test_matrices_are_hashable_values():

@@ -21,7 +21,7 @@ from drazinlab import (
     rref,
     solve,
 )
-from util import DIMS, ZERO, g_add, g_mul, g_rref, g_sub, grids, scalar_sub
+from util import DIMS, ZERO, g_add, g_mul, g_rref, g_sub, g_vec, grids, scalar_sub
 
 core = settings(max_examples=80, deadline=None)
 
@@ -51,7 +51,7 @@ def test_product_and_sum(data):
 def test_entries_round_trip(a):
     m = as_matrix(a)
     assert m.to_rows() == a
-    assert Matrix(m.rows, m.cols, m.entries) == m
+    assert Matrix(m.rows, m.cols, g_vec(m.to_rows())) == m
 
 
 @core

@@ -388,8 +388,10 @@ def test_resolvent_is_the_finite_sum_property(pair):
     data = drazin(alpha)
     m = data.spectral_idempotent * alpha * (eye + bd)
     assert (m ** max(data.index, 1)).is_zero()
+    # _resolvent reads only alpha, bd and the size of the quadruple
+    z = Matrix.zeros(b.rows, b.rows)
     # the elimination the finite sum replaced, kept as the reference
-    assert transfer_module._resolvent(alpha, data, bd) == inverse(eye - m)
+    assert transfer_module._resolvent(Quadruple(z, b, z, d), data) == inverse(eye - m)
 
 
 def test_transfer_drazin_eliminates_only_in_its_drazin_calls(monkeypatch):

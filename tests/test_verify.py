@@ -7,7 +7,7 @@ from drazinlab import transfer as transfer_module
 from drazinlab import verify as verify_module
 from drazinlab.generators import GeneratorSpec, counterexample_instance, gen_family
 from drazinlab.verify import POWER_MAX, run_battery, summarize
-from util import as_matrix, power_reference
+from util import as_matrix, power_reference, record_calls
 
 
 def test_battery_passes_on_generated_corpus():
@@ -117,3 +117,14 @@ def test_battery_checks_conditions_once_per_quadruple(monkeypatch):
     assert len(calls) == POWER_MAX
     assert calls[0] is q
     assert calls[1:] == [power_reference(q, n) for n in range(2, POWER_MAX + 1)]
+
+
+def test_battery_forms_alpha_and_beta_once_per_quadruple(monkeypatch):
+    # the transfer and every power_instance call read the instance's
+    # memoized alpha = 1 - bd and beta = 1 - ac
+    (q,) = gen_family(GeneratorSpec("strong", 3, seed=1, count=1))
+    eye = Matrix.identity(3)
+    subtractions = record_calls(monkeypatch, Matrix, "__sub__")
+    assert run_battery([q]).ok
+    assert subtractions.count((eye, q.bd)) == 1
+    assert subtractions.count((eye, q.ac)) == 1
