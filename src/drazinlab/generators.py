@@ -8,10 +8,10 @@ Families:
   conditions then hold identically.
 * ``strong``           -- random a, d upper triangular and random b; c is
   solved exactly from acd = dbd, aca = dba, i.e. a c N = d b N with
-  N = [d | a], as c = G_a (d b N) G_{N^T}^T from the {1}-inverses of a and
-  N^T (two eliminations of n x 2n and 2n x 3n instead of one of the
-  2n^2 x n^2 Kronecker system); a draw is kept when that c satisfies the
-  premise.
+  N = [d | a], as c = G_a (d b) R^T with G_a the {1}-inverse of a and
+  R = G_{N^T} N^T read off rref(N^T) (two eliminations, of n x 2n and
+  2n x n, instead of one of the 2n^2 x n^2 Kronecker system); a draw is
+  kept when that c satisfies the premise.
 * ``triple_lift``      -- random triples with c = b + (kernel of a) noise,
   so ab = ac, lifted by d := a.
 * ``zero_padded_nilpotent`` -- a conjugated unipotent core forcing
@@ -30,7 +30,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import GenerationExhaustedError, InternalInvariantError
-from .matrices import Matrix, block_diag, inverse, null_space_basis, one_inverse
+from .matrices import Matrix, _place_rows, block_diag, inverse, null_space_basis, one_inverse, rref
 from .transfer import Quadruple
 
 MAX_SIZE = 8
@@ -162,11 +162,22 @@ def _solve_strong_for_c(a: Matrix, b: Matrix, d: Matrix) -> Matrix | None:
     G_a (d b N) G_{N^T}^T, with G the {1}-inverses that `one_inverse` reads
     off rref([X | I]); it solves the system exactly when the system is
     consistent, so the premise itself is the acceptance test.
+
+    N G_{N^T}^T is R^T with R = G_{N^T} N^T, and R needs no {1}-inverse:
+    the right block E of rref([N^T | I]) has E N^T = rref(N^T), so R is
+    rref(N^T) with row r placed at its pivot column, one 2n x n
+    elimination. Hence c = G_a (d b) R^T; R = I when rank N = n. The
+    {1}-inverse identity N^T G N^T = N^T is checked as N^T R = N^T.
     """
     ends = d.hstack(a)
-    dbn = d * b * ends
-    c = one_inverse(a) * dbn * one_inverse(ends.T).T
-    return c if a * c * ends == dbn else None
+    ends_t = ends.T
+    reduced, _, pivots = rref(ends_t)
+    r = _place_rows(reduced, pivots, ends_t.cols, 0)
+    if ends_t * r != ends_t:
+        raise InternalInvariantError("the strong solve's R failed N^T R = N^T")
+    db = d * b
+    c = one_inverse(a) * db * r.T
+    return c if a * c * ends == db * ends else None
 
 
 def _gen_triple_lift(n: int, rng: random.Random) -> Quadruple:

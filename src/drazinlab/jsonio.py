@@ -6,7 +6,9 @@ The codec works on the matrix's integer grids: encoding writes each
 entry (v / den) in lowest terms, the text `str(Fraction)` would give, and
 decoding validates each string with `scalars._parse_ratio` and builds the
 grids from the integer pairs in one step. No per-entry `Fraction` or
-`GaussianRational` is made on either side.
+`GaussianRational` is made on either side. `_parse_ratio` memoizes the
+validation of each distinct string behind its type guard, so a corpus's
+repeated strings are parsed once per process.
 A quadruple is `{"a": .., "b": .., "c": .., "d": ..}`; when "d" is absent
 the loader lifts the triple by setting d := a.
 

@@ -31,7 +31,11 @@ constructor, `entry`, `to_rows` and `scale`'s argument. It has
 no arithmetic of its own, and `*` is the matrix product only: `scale` is
 the one path for a scalar multiple. The JSON codec builds a matrix from
 integer (re, im, den) triples through `_from_parts`, the same
-integer-level constructor that `Matrix(rows, cols, entries)` uses.
+integer-level constructor that `Matrix(rows, cols, entries)` uses: it
+transposes the triples once, rescales them only when their common
+denominator is not 1 (an `int` entry is (v, 0, 1) as it stands), and
+drops an all-zero imaginary grid. Matrices are immutable, so
+`Matrix.identity` and `Matrix.zeros` return one cached instance per shape.
 """
 
 from __future__ import annotations
@@ -49,6 +53,8 @@ from .scalars import GaussianRational
 
 def _scalar_ints(value) -> tuple[int, int, int]:
     """(re, im, den) integers with value == (re + im i) / den, den > 0."""
+    if type(value) is int:
+        return value, 0, 1
     if isinstance(value, GaussianRational):
         re, im = value.re, value.im
     elif isinstance(value, (int, Fraction)):
@@ -151,10 +157,12 @@ class Matrix:
             raise ShapeError(
                 f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(parts)}"
             )
-        den = lcm(*(d for _, _, d in parts))
-        re = [r * (den // d) for r, _, d in parts]
-        im = [i * (den // d) for _, i, d in parts]
-        self._set(rows, cols, den, _grid(re, cols), _grid(im, cols))
+        re, im, dens = zip(*parts)
+        den = lcm(*dens)
+        if den != 1:
+            re = [r * (den // d) for r, d in zip(re, dens)]
+            im = [i * (den // d) for i, d in zip(im, dens)]
+        self._set(rows, cols, den, _grid(re, cols), _grid(im, cols) if any(im) else None)
 
     def _set(self, rows, cols, den, re, im) -> None:
         """Store the canonical form of (re + im i) / den."""
@@ -197,12 +205,14 @@ class Matrix:
         return cls(len(rows), ncols, (e for r in rows for e in r))
 
     @classmethod
+    @lru_cache(maxsize=64)
     def identity(cls, n: int) -> "Matrix":
         if n <= 0:
             raise ShapeError(f"matrix dimensions must be positive, got {n}x{n}")
         return cls._make(1, _geye(n), None)
 
     @classmethod
+    @lru_cache(maxsize=256)
     def zeros(cls, rows: int, cols: int) -> "Matrix":
         if rows <= 0 or cols <= 0:
             raise ShapeError(f"matrix dimensions must be positive, got {rows}x{cols}")
@@ -489,6 +499,21 @@ def null_space_basis(a: Matrix) -> list[Matrix]:
     return [vectors.take_rows([t]).T for t in range(vectors.rows)]
 
 
+def _place_rows(reduced: Matrix, pivots: Sequence[int], rows: int, start: int) -> Matrix:
+    """The rows x (reduced.cols - start) matrix whose row pivots[r] is row r
+    of `reduced` from column `start` on; its other rows are zero."""
+    width = reduced.cols - start
+
+    def place(g):
+        out = [(0,) * width] * rows
+        for r, pc in enumerate(pivots):
+            out[pc] = g[r][start:]
+        return tuple(out)
+
+    im = None if reduced.im is None else place(reduced.im)
+    return Matrix._make(reduced.den, place(reduced.re), im)
+
+
 def _read_off(a: Matrix, b: Matrix) -> tuple[Matrix, int, bool]:
     """rref([a | b]) read as an a.cols x b.cols matrix X, with rank(a) and
     whether a pivot fell in the right block (if not, a X = b). Row pc of X
@@ -496,15 +521,8 @@ def _read_off(a: Matrix, b: Matrix) -> tuple[Matrix, int, bool]:
     zero."""
     reduced, _, pivots = rref(a.hstack(b))
     left = [pc for pc in pivots if pc < a.cols]
-
-    def place(g):
-        rows = [(0,) * b.cols] * a.cols
-        for r, pc in enumerate(left):
-            rows[pc] = g[r][a.cols :]
-        return tuple(rows)
-
-    im = None if reduced.im is None else place(reduced.im)
-    return Matrix._make(reduced.den, place(reduced.re), im), len(left), len(left) < len(pivots)
+    x = _place_rows(reduced, left, a.cols, a.cols)
+    return x, len(left), len(left) < len(pivots)
 
 
 def solve(a: Matrix, b: Matrix) -> Matrix | None:

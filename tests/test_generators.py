@@ -1,8 +1,18 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drazinlab import GenerationExhaustedError, Matrix, check_conditions, drazin, index_of
+from drazinlab import (
+    GenerationExhaustedError,
+    InternalInvariantError,
+    Matrix,
+    check_conditions,
+    drazin,
+    index_of,
+    rank,
+)
 from drazinlab.generators import (
     FAMILIES,
     GeneratorSpec,
@@ -11,7 +21,7 @@ from drazinlab.generators import (
     gen_family,
 )
 from drazinlab import generators, jsonio
-from util import as_matrix, grids, strong_c_reference
+from util import as_matrix, grids, rand_int_matrix, record_calls, strong_c_reference
 
 
 def test_counterexample_instance_is_the_fixed_one():
@@ -123,8 +133,9 @@ def strong_operands(draw, n):
 
 def test_factored_strong_solve_matches_kronecker_solve():
     """The factored solve gives the same c, or None, as one `solve` on the
-    Kronecker system, and both outcomes occur among the draws."""
-    outcomes = set()
+    Kronecker system; both outcomes occur among the draws, and so do
+    rank [d | a] = n (R = I) and rank [d | a] < n (R != I)."""
+    outcomes, deficient = set(), set()
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -134,6 +145,26 @@ def test_factored_strong_solve_matches_kronecker_solve():
         c = _solve_strong_for_c(a, b, d)
         assert c == strong_c_reference(a, b, d)
         outcomes.add(c is None)
+        deficient.add(rank(d.hstack(a)) < n)
 
     check()
     assert outcomes == {True, False}
+    assert deficient == {True, False}
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_strong_solve_eliminates_n_by_2n_and_2n_by_n(monkeypatch, n):
+    rng = random.Random(n)
+    a, b, d = (rand_int_matrix(rng, n) for _ in range(3))
+    calls = record_calls(monkeypatch, "drazinlab.matrices", "rref")
+    _solve_strong_for_c(a, b, d)
+    assert sorted((m.rows, m.cols) for (m,) in calls) == sorted([(n, 2 * n), (2 * n, n)])
+
+
+def test_strong_solve_checks_r(monkeypatch):
+    """A wrong R, here 2R, fails the {1}-inverse identity N^T R = N^T."""
+    place = generators._place_rows
+    monkeypatch.setattr(generators, "_place_rows", lambda *args: place(*args).scale(2))
+    a = Matrix.from_rows([[1, 2], [0, 1]])
+    with pytest.raises(InternalInvariantError, match="N\\^T R"):
+        _solve_strong_for_c(a, a, a)

@@ -127,11 +127,35 @@ def test_matrix_larger_than_max_size_rejected():
 
 
 @settings(max_examples=40, deadline=None)
-@given(grids())
-def test_matrix_json_round_trip_property(rows):
-    m = as_matrix(rows)
-    text = jsonio.dumps(jsonio.matrix_to_obj(m))
-    assert jsonio.matrix_from_obj(jsonio.loads(text)) == m
+@given(grids(), st.integers(2, 7))
+def test_matrix_json_round_trip_property(rows, k):
+    """Each matrix, and a copy over a non-unit denominator, decodes back
+    twice: the second decode reads every string from the parse cache."""
+    for m in (as_matrix(rows), as_matrix(rows).scale(GaussianRational(Fraction(1, k), 1))):
+        text = jsonio.dumps(jsonio.matrix_to_obj(m))
+        assert jsonio.matrix_from_obj(jsonio.loads(text)) == m
+        assert jsonio.matrix_from_obj(jsonio.loads(text)) == m
+
+
+NON_STRINGS = st.one_of(
+    st.lists(st.text(max_size=3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+    st.integers(),
+    st.floats(),
+    st.none(),
+    st.booleans(),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(NON_STRINGS, st.integers(0, 1))
+def test_non_string_cell_part_rejected_property(part, side):
+    cell = ["1/2", "0"]
+    cell[side] = part
+    obj = {"rows": 1, "cols": 1, "entries": [[cell]]}
+    for _ in range(2):
+        with pytest.raises(ParseError, match="malformed rational"):
+            jsonio.matrix_from_obj(obj)
 
 
 @settings(max_examples=20, deadline=None)

@@ -32,6 +32,8 @@ def test_identity_power():
     eye = Matrix.identity(2)
     assert eye**5 == eye
     assert eye**0 == eye
+    # one cached instance per shape; matrices are immutable
+    assert Matrix.identity(2) is eye and Matrix.zeros(2, 3) is Matrix.zeros(2, 3)
 
 
 def test_identity_factor_is_not_multiplied(monkeypatch):
@@ -78,6 +80,10 @@ def test_shape_errors():
         Matrix(2, 2, [1, 2, 3])
     with pytest.raises(ShapeError):
         Matrix(0, 2, [])
+    for build in (lambda: Matrix.identity(0), lambda: Matrix.zeros(2, 0)):
+        for _ in range(2):  # a failure is not cached
+            with pytest.raises(ShapeError):
+                build()
 
 
 def test_rref_examples():

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from drazinlab import (
     GaussianRational,
     Matrix,
+    ShapeError,
     SingularMatrixError,
     inverse,
     null_space_basis,
@@ -21,7 +22,19 @@ from drazinlab import (
     rref,
     solve,
 )
-from util import DIMS, ZERO, g_add, g_mul, g_rref, g_sub, g_vec, grids, scalar_sub
+from util import (
+    DIMS,
+    RATIONALS,
+    ZERO,
+    g_add,
+    g_mul,
+    g_rref,
+    g_sub,
+    g_vec,
+    grids,
+    parts_reference,
+    scalar_sub,
+)
 
 core = settings(max_examples=80, deadline=None)
 
@@ -52,6 +65,33 @@ def test_entries_round_trip(a):
     m = as_matrix(a)
     assert m.to_rows() == a
     assert Matrix(m.rows, m.cols, g_vec(m.to_rows())) == m
+
+
+ENTRIES = st.one_of(
+    st.integers(-9, 9),
+    st.booleans(),
+    RATIONALS,
+    st.builds(GaussianRational, RATIONALS, RATIONALS),
+)
+
+
+@core
+@given(st.data())
+def test_constructor_matches_reference(data):
+    """Mixed int, bool, Fraction and GaussianRational entries, and all-int
+    ones, which give the integer form with no imaginary grid."""
+    n, m = data.draw(DIMS), data.draw(DIMS)
+    for cell in (ENTRIES, st.integers(-9, 9)):
+        values = data.draw(st.lists(cell, min_size=n * m, max_size=n * m))
+        built = Matrix(n, m, values)
+        assert (built.den, built.re, built.im) == parts_reference(m, values)
+    assert built.den == 1 and built.im is None
+    for bad in (1.0, "1"):
+        with pytest.raises(TypeError):
+            Matrix(n, m, values[:-1] + [bad])
+    for count in (n * m - 1, n * m + 1):
+        with pytest.raises(ShapeError):
+            Matrix(n, m, [1] * count)
 
 
 @core

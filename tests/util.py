@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 from functools import reduce
 from itertools import chain
-from math import comb
+from math import comb, lcm
 
 from hypothesis import strategies as st
 
@@ -167,6 +167,23 @@ def g_rref(a):
                 work[i] = [scalar_sub(v, scalar_mul(f, w)) for v, w in zip(work[i], work[r])]
         pivots.append(c)
     return work, len(pivots), tuple(pivots)
+
+
+def parts_reference(cols, values):
+    """(den, re, im) of the canonical form of the matrix with these
+    row-major entries (int, bool, Fraction or GaussianRational), computed
+    on the entries' Fractions: den, the lcm of their reduced denominators,
+    already leaves gcd(den, every part) = 1. The reference for the
+    `Matrix` constructor."""
+    scalars = [v if isinstance(v, GaussianRational) else GaussianRational(v) for v in values]
+    den = lcm(*(f.denominator for x in scalars for f in (x.re, x.im)))
+
+    def grid(part):
+        flat = [int(part(x) * den) for x in scalars]
+        return tuple(tuple(flat[k : k + cols]) for k in range(0, len(flat), cols))
+
+    im = grid(lambda x: x.im)
+    return den, grid(lambda x: x.re), im if any(map(any, im)) else None
 
 
 def matrix_obj_reference(rows):
