@@ -41,9 +41,10 @@ def _parse_ratio(text: str) -> tuple[int, int]:
     return _ratio_of(text)
 
 
-# A corpus repeats a few short strings ("0", "1", "-2", ...) thousands of
-# times. Exceptions are not cached, so a malformed string is rejected anew
-# on every call.
+# A corpus repeats few distinct strings: reading back perfbench's seed-0
+# corpus_transfer corpus parses 36720 strings, 365 of them distinct, so 99%
+# of the calls hit even a cold cache. Exceptions are not cached, so a
+# malformed string is rejected anew on every call.
 @lru_cache(maxsize=1024)
 def _ratio_of(text: str) -> tuple[int, int]:
     if not _RATIONAL_RE.fullmatch(text):
