@@ -27,7 +27,9 @@ from . import jsonio
 from .drazin import drazin
 from .errors import IdentityFalsifiedError, InternalInvariantError, NoGroupInverseError
 from .generators import FAMILIES, GeneratorSpec, gen_family
-from .transfer import MAX_POWER, power_instance, transfer_drazin, transfer_gdrazin, transfer_group
+from .transfer import (
+    MAX_POWER, MAX_POWER_BITS, power_instance, transfer_drazin, transfer_gdrazin, transfer_group
+)
 from .verify import VerifyReport, run_battery, summarize
 
 _TRANSFER_MODES = {
@@ -123,7 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("power", help="derive the power-instance quadruple and re-verify")
     p.add_argument("--input", required=True, help="path to a quadruple JSON file")
-    p.add_argument("--n", type=int, required=True, help=f"power to apply (1 <= n <= {MAX_POWER})")
+    n_help = f"power to apply (1 <= n <= {MAX_POWER}, n * longest entry bits <= {MAX_POWER_BITS})"
+    p.add_argument("--n", type=int, required=True, help=n_help)
     add_output_flags(p)
     p.set_defaults(func=_cmd_power)
 

@@ -121,6 +121,9 @@ def _gather(mats, f) -> "Matrix":
     common denominator, and likewise from their im grids; f must be
     Z-linear. The im grids are skipped when every matrix is real;
     otherwise zeros stand in for a missing one."""
+    den = mats[0].den
+    if all(m.im is None and m.den == den for m in mats):
+        return Matrix._make(den, f([m.re for m in mats]), None)
     den = lcm(*(m.den for m in mats))
     complex_ = any(m.im is not None for m in mats)
     res, ims = [], []
@@ -179,11 +182,11 @@ class Matrix:
                 re = tuple(tuple(v // g for v in row) for row in re)
                 if im is not None:
                     im = tuple(tuple(v // g for v in row) for row in im)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
+        _set_rows(self, rows)
+        _set_cols(self, cols)
+        _set_den(self, den)
+        _set_re(self, re)
+        _set_im(self, im)
 
     @classmethod
     def _make(cls, den: int, re, im) -> "Matrix":
@@ -340,6 +343,12 @@ class Matrix:
         cells = [[str(e) for e in row] for row in self.to_rows()]
         width = max(len(c) for row in cells for c in row)
         return "\n".join("[" + "  ".join(c.rjust(width) for c in row) + "]" for row in cells)
+
+
+# The slots' own setters: `Matrix.__setattr__` refuses every write.
+_set_rows, _set_cols, _set_den, _set_re, _set_im = (
+    getattr(Matrix, name).__set__ for name in Matrix.__slots__
+)
 
 
 def block_diag(*blocks: Matrix) -> Matrix:

@@ -18,12 +18,13 @@ Drazin data of beta is an explicit expression in that of alpha:
     y = [1 - d p (1 - p alpha (1 + bd))^-1 b a c](1 + ac) + d x b a c
 
 with p = alpha^pi and x = alpha^D. Every transfer operation here evaluates
-y, recomputes the Drazin inverse of beta directly, and returns both; the
-formula is never trusted on its own. The resolvent is a finite sum and
-needs none of the four conditions: m = p alpha (1 + bd) = (p alpha)(2 - alpha),
-p alpha commutes with alpha and vanishes at alpha's index l, so
-m^max(l,1) = 0 and (1 - m)^-1 = sum_{k < max(l,1)} m^k. A nonzero last
-power is reported as an internal failure rather than swallowed.
+y, computes the Drazin inverse of beta directly (it is alpha's when
+beta = alpha), and returns both; the formula is never trusted on its own.
+The resolvent is a finite sum and needs none of the four conditions:
+m = p alpha (1 + bd) = (p alpha)(2 - alpha), p alpha commutes with alpha
+and vanishes at alpha's index l, so m^max(l,1) = 0 and
+(1 - m)^-1 = sum_{k < max(l,1)} m^k. A nonzero last power is reported as
+an internal failure rather than swallowed.
 
 Note the factor inside the inverse carries the idempotent p: dropping it
 would leave 1 - alpha(1 + bd) = (bd)^2, which is singular for most
@@ -31,15 +32,16 @@ instances of interest.
 
 A `Quadruple` memoizes ac, bd, alpha = 1 - bd, beta = 1 - ac and its
 side-condition report, which the transfers, the power construction and
-the generators' self-check all read.
+the generators' self-check all read, and the last power step reached.
 Matrices and quadruples are immutable, so a memoized value cannot go stale;
 a quadruple decoded from JSON is a new object and is checked anew.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import chain
 
 from .drazin import DrazinData, drazin
 from .errors import (
@@ -55,6 +57,9 @@ from .matrices import Matrix, inverse, rank
 # Largest exponent `power_instance` accepts: entry lengths grow linearly
 # with n, so an unbounded n from the command line would run for hours.
 MAX_POWER = 1000
+# Largest n times the input's longest entry in bits that it accepts: the
+# cost grows about quadratically in that product. MAX_POWER allows 32 bits.
+MAX_POWER_BITS = 32 * MAX_POWER
 
 
 @dataclass(frozen=True)
@@ -65,6 +70,8 @@ class Quadruple:
     b: Matrix
     c: Matrix
     d: Matrix
+    # The last step k > 1 that `power_instance` reached: (k, derived_k).
+    _power_step: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.a.rows
@@ -119,7 +126,8 @@ def check_conditions(q: Quadruple) -> ConditionReport:
     """Evaluate the four side conditions exactly; residuals are LHS - RHS,
     formed as products of the one defect e = ac - db."""
     a, b, c, d = q.a, q.b, q.c, q.d
-    ac, db = q.ac, d * b
+    ac = q.ac
+    db = ac if (d, b) == (a, c) else d * b
     e = ac - db
     return ConditionReport(
         labels=(
@@ -259,12 +267,15 @@ def _evaluate_transfer(q: Quadruple, alpha_data: DrazinData) -> TransferOutcome:
     resolvent = _resolvent(q, alpha_data)
     bac = q.b * ac
     y = (eye - d * p * resolvent * bac) * (eye + ac) + d * x * bac
-    direct = drazin(beta)
+    # drazin is deterministic, and its idempotent is eye - beta * dinv
+    direct = alpha_data if beta == q.alpha else drazin(beta)
+    agrees = y == direct.dinv
+    idempotent = direct.spectral_idempotent if agrees else eye - beta * y
     return TransferOutcome(
         beta=beta,
-        beta_drazin=DrazinData(y, direct.index, eye - beta * y),
+        beta_drazin=DrazinData(y, direct.index, idempotent),
         direct=direct,
-        agrees=y == direct.dinv,
+        agrees=agrees,
         alpha_index=alpha_data.index,
         beta_index=direct.index,
     )
@@ -321,25 +332,41 @@ def power_instance(q: Quadruple, n: int) -> Quadruple:
 
     c' = c sum_{k<n} (1-ac)^k and b' = sum_{k<n} (1-bd)^k b: the geometric
     sums telescope, a c' = (1 - (1-ac)) sum_{k<n} (1-ac)^k = 1 - (1-ac)^n.
-    They are grown from q in Horner form, one step per exponent, from q's
-    memoized alpha = 1 - bd and beta = 1 - ac: c' <- c + c' beta and
-    b' <- b + alpha b', so n = 1 returns q itself, with its memoized ac, bd,
-    alpha, beta and report, and subtracts nothing. Raises ValueError unless
-    1 <= n <= MAX_POWER, and ConditionsViolatedError when q's memoized
-    condition report fails. Both power identities, the derived quadruple's
-    beta and alpha against q's raised to n by repeated squaring, and the
-    side conditions of the derived quadruple are checked before returning.
+    They are grown in Horner form, c' <- c + c' beta and b' <- b + alpha b'
+    with q's memoized alpha = 1 - bd and beta = 1 - ac, so n = 1 returns q
+    itself. q memoizes the last step k > 1 reached, (k, derived_k): a call
+    with k <= n resumes from it and checks against derived_k's beta times
+    beta^(n-k), any other starts from q and checks against beta^n, by
+    repeated squaring; likewise for alpha. Both power identities and the
+    derived quadruple's conditions are checked. Raises ValueError unless
+    1 <= n <= MAX_POWER and n times q's longest entry in bits is at most
+    MAX_POWER_BITS, and ConditionsViolatedError when q's conditions fail.
     """
     if not 1 <= n <= MAX_POWER:
         raise ValueError(f"power construction needs 1 <= n <= {MAX_POWER}")
+    bits = max(
+        v.bit_length() for m in (q.a, q.b, q.c, q.d) for v in chain((m.den,), *m.re, *(m.im or ()))
+    )
+    if n * bits > MAX_POWER_BITS:
+        raise ValueError(f"power construction needs n * {bits} entry bits <= {MAX_POWER_BITS}")
     _require_conditions(q)
-    derived = q
-    for _ in range(1, n):
+    k, start = q._power_step or (1, q)
+    if k > n:
+        k, start = 1, q
+    derived = start
+    for _ in range(k, n):
         derived = Quadruple(q.a, q.b + q.alpha * derived.b, q.c + derived.c * q.beta, q.d)
-    if derived.beta != q.beta**n:
+    # start.beta and start.alpha were checked against the k-th powers
+    if k == 1:
+        beta_n, alpha_n = q.beta**n, q.alpha**n
+    else:
+        beta_n, alpha_n = start.beta * q.beta ** (n - k), start.alpha * q.alpha ** (n - k)
+    if derived.beta != beta_n:
         raise InternalInvariantError("power construction failed for 1 - a c'")
-    if derived.alpha != q.alpha**n:
+    if derived.alpha != alpha_n:
         raise InternalInvariantError("power construction failed for 1 - b' d")
     if not derived.conditions.all_hold:
         raise InternalInvariantError("derived quadruple lost the side conditions")
+    if n > 1:
+        object.__setattr__(q, "_power_step", (n, derived))
     return derived

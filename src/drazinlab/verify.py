@@ -20,11 +20,12 @@ Per quadruple, in order:
 * power construction -- `power_instance` for n = 1..POWER_MAX, and n = 1
   must return the quadruple verbatim: it is q itself, whose ac, bd,
   alpha = 1 - bd, beta = 1 - ac and report are memoized, so it forms no
-  product and no difference. Each call n >= 2 grows c' and b' from q in
-  Horner form, c' <- c + c' beta and b' <- b + alpha b', and checks both
-  power identities, 1 - ac' = beta^n and 1 - b'd = alpha^n, and the
-  derived quadruple's conditions, the latter through the one defect
-  e = ac' - db'.
+  product and no difference. Each call n >= 2 resumes the Horner chain
+  c' <- c + c' beta, b' <- b + alpha b' from the step that the call
+  before it reached on q, and checks both power identities,
+  1 - ac' = beta^n and 1 - b'd = alpha^n (against beta^(n-1) beta, and
+  likewise for alpha), and the derived quadruple's conditions, the latter
+  through the one defect e = ac' - db'.
 
 An instance contributes one failure record at most: the first property
 that breaks it. The index pair (i(1-bd), i(1-ac)) of every instance that

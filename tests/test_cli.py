@@ -1,5 +1,6 @@
 import copy
 import json
+import random
 import shlex
 import time
 from fractions import Fraction
@@ -9,10 +10,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from drazinlab import GaussianRational, IdentityFalsifiedError, Matrix, jsonio, transfer
+from drazinlab import GaussianRational, IdentityFalsifiedError, Matrix, Quadruple, jsonio, transfer
 from drazinlab.cli import build_parser, main
 from drazinlab.generators import GeneratorSpec, MAX_SIZE, counterexample_instance, gen_family
-from drazinlab.transfer import MAX_POWER, power_instance
+from drazinlab.transfer import MAX_POWER, MAX_POWER_BITS, power_instance
 from util import as_matrix
 
 
@@ -194,6 +195,34 @@ def test_power_command_refuses_exponent_above_cap(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert str(MAX_POWER) in captured.err
+
+
+def test_power_command_refuses_long_entries_at_high_exponent(tmp_path, capsys):
+    # classic form with 100-digit entries: n = 1000 would run for minutes
+    rng = random.Random(5)
+    a, b = (Matrix(8, 8, [rng.randrange(-(10**100), 10**100) for _ in range(64)]) for _ in range(2))
+    path = write_quadruple(tmp_path / "long.json", Quadruple(a, b, b, a))
+    start = time.perf_counter()
+    assert main(["power", "--input", path, "--n", "1000"]) == 2
+    assert time.perf_counter() - start < 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(MAX_POWER_BITS) in captured.err
+    # generated quadruples still go up to MAX_POWER: a 4x4 one, and the 8x8
+    # strong one with the longest entries (15 bits, rational c) of its ten
+    (small,) = gen_family(GeneratorSpec("strong", 4, seed=3, count=1))
+    def entry_bits(q):
+        mats = (q.a, q.b, q.c, q.d)
+        return max(v.bit_length() for m in mats for r in ((m.den,), *m.re) for v in r)
+
+    large = max(gen_family(GeneratorSpec("strong", MAX_SIZE, seed=0, count=10)), key=entry_bits)
+    assert entry_bits(large) == 15 and large.c.den > 1
+    for q in (small, large):
+        path = write_quadruple(tmp_path / "q.json", q)
+        assert main(["power", "--input", path, "--n", str(MAX_POWER)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        eye = Matrix.identity(q.a.rows)
+        assert eye - q.a * jsonio.quadruple_from_obj(out).c == (eye - q.a * q.c) ** MAX_POWER
 
 
 def test_readme_cli_lines_parse():

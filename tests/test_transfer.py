@@ -54,8 +54,8 @@ def test_zero_quadruple_conditions_hold():
 
 
 def test_conditions_of_a_zero_defect_multiply_only_ac_and_db(monkeypatch):
-    # classic quadruples have c = b and d = a, so e = ac - db is zero and
-    # the six products of e in the residuals need no multiplication
+    # classic quadruples have c = b and d = a, so db is ac, e = ac - db is
+    # zero and the six products of e in the residuals need no multiplication
     quads = [
         Quadruple(q.a, q.b, q.c, q.d)  # a fresh quadruple: ac not memoized
         for size in range(2, 6)
@@ -67,7 +67,7 @@ def test_conditions_of_a_zero_defect_multiply_only_ac_and_db(monkeypatch):
     for q in quads:
         multiplied.clear()
         assert check_conditions(q).all_hold
-        assert len(multiplied) == 2
+        assert multiplied == [(q.a.re, q.c.re)]
 
 
 def test_counterexample_conditions_hold():
@@ -394,6 +394,36 @@ def test_resolvent_is_the_finite_sum_property(pair):
     assert transfer_module._resolvent(Quadruple(z, b, z, d), data) == inverse(eye - m)
 
 
+def test_transfer_drazin_reuses_alphas_drazin_data_when_beta_is_alpha(monkeypatch):
+    quads = [
+        q
+        for size in (2, 3)
+        for q in gen_family(GeneratorSpec("zero_padded_nilpotent", size, seed=0, count=10))
+        if q.beta == q.alpha and not q.alpha.is_identity()
+    ]
+    assert len(quads) >= 3
+    expected = [drazin(q.beta) for q in quads]
+    calls = record_calls(monkeypatch, "drazinlab.drazin", "drazin")
+    for q, direct in zip(quads, expected):
+        calls.clear()
+        out = transfer_drazin(q)
+        assert calls == [(q.alpha,)]
+        assert out.agrees and out.direct == direct
+
+
+def test_disagreeing_formula_gets_its_own_idempotent(monkeypatch):
+    (q,) = gen_family(GeneratorSpec("zero_padded_nilpotent", 4, seed=8, count=1))
+    eye = Matrix.identity(4)
+    # a resolvent off by the identity moves y off the Drazin inverse of beta
+    original = transfer_module._resolvent
+    monkeypatch.setattr(transfer_module, "_resolvent", lambda quad, data: original(quad, data) + eye)
+    out = transfer_drazin(q)
+    assert not out.agrees
+    y = out.beta_drazin.dinv
+    assert out.beta_drazin.spectral_idempotent == eye - out.beta * y
+    assert out.beta_drazin.spectral_idempotent != out.direct.spectral_idempotent
+
+
 def test_transfer_drazin_eliminates_only_in_its_drazin_calls(monkeypatch):
     (q,) = gen_family(GeneratorSpec("zero_padded_nilpotent", 4, seed=5, count=1))
     eye = Matrix.identity(4)
@@ -443,12 +473,19 @@ def test_power_instance_forms_fewer_products_than_binomial_sums(monkeypatch):
     products = record_calls(monkeypatch, Matrix, "__mul__")
     # the binomial construction formed 16, 19 and 23 products here, as the
     # battery calls it: n = 1, 2, 3 in turn on one quadruple. n = 1 is q
-    # itself; n >= 2 forms 2 per Horner step, (1-ac)^n and (1-bd)^n by
-    # squaring, a c', b' d and the check's 7.
-    for n, count, binomial in ((1, 0, 16), (2, 13, 19), (3, 17, 23)):
+    # itself; n >= 2 forms 2 per Horner step, (1-ac)^n and (1-bd)^n, a c',
+    # b' d and the check's 7. n = 3 resumes from n = 2's step: one Horner
+    # step, and (1-ac)^3 = (1-ac)^2 (1-ac) and likewise for 1-bd.
+    for n, count, binomial in ((1, 0, 16), (2, 13, 19), (3, 13, 23)):
         products.clear()
         power_instance(q, n)
         assert len(products) == count < binomial
+    # a fresh quadruple starts from q: two Horner steps, squaring for both powers
+    q = Quadruple(q.a, q.b, q.c, q.d)
+    q.conditions, q.bd
+    products.clear()
+    power_instance(q, 3)
+    assert len(products) == 17
 
 
 def test_transfer_group_on_index_one_instances():
@@ -543,10 +580,12 @@ def test_generated_quadruple_holds_and_powers_verbatim_property(family, size, se
     st.sampled_from([f for f in FAMILIES if f != "counterexample"]),
     st.integers(2, 3),
     st.integers(0, 10**6),
+    st.lists(st.integers(1, 6), max_size=6),
 )
-def test_power_instance_equals_binomial_reference_property(family, size, seed):
+def test_power_instance_equals_binomial_reference_property(family, size, seed, earlier):
+    # q's memoized step is resumed or dropped, whatever calls came before
     (q,) = gen_family(GeneratorSpec(family, size, seed=seed, count=1))
-    for n in range(1, 6):
+    for n in [*earlier, *range(1, 6)]:
         assert power_instance(q, n) == power_reference(q, n)
 
 
