@@ -167,13 +167,13 @@ def oracle_drazin(a: Matrix) -> DrazinData:
     return DrazinData(dinv, k, Matrix.identity(n) - a * dinv)
 
 
-def _numerator_powers(a: Matrix, top: int) -> list[Matrix]:
-    """[I, A, ..., A^top] for the integer matrix A = den * a, which has the
-    same commutant and the same polynomial algebra as a."""
+def _numerator_powers(a: Matrix) -> list[Matrix]:
+    """[I, A, ..., A^(n-1)] for the n x n integer matrix A = den * a, which
+    has the same commutant and the same polynomial algebra as a."""
     powers = [Matrix.identity(a.rows), Matrix._make(1, a.re, a.im)]
-    while len(powers) <= top:
+    while len(powers) < a.rows:
         powers.append(powers[-1] * powers[1])
-    return powers[: top + 1]
+    return powers[: a.rows]
 
 
 def _reversed_vecs(blocks):
@@ -218,7 +218,7 @@ def commutant_basis(a: Matrix) -> tuple[Matrix, ...]:
     """
     _require_square(a, "commutant")
     n = a.rows
-    canon, k, _ = rref(_gather(_numerator_powers(a, n - 1), _reversed_vecs))
+    canon, k, _ = rref(_gather(_numerator_powers(a), _reversed_vecs))
     if k == n:
         vecs = canon._apply(lambda g: tuple(row[::-1] for row in reversed(g)))
     else:
@@ -263,6 +263,6 @@ def in_double_commutant(a: Matrix, y: Matrix) -> bool:
     n = a.rows
     if (y.rows, y.cols) != (n, n):
         raise ShapeError(f"double commutant of a {n}x{n} matrix needs a {n}x{n} y")
-    columns = _numerator_powers(a, n - 1) + [Matrix._make(1, y.re, y.im)]
+    columns = _numerator_powers(a) + [Matrix._make(1, y.re, y.im)]
     stacked = _gather(columns, lambda g: tuple(zip(*map(chain.from_iterable, g))))
     return n not in rref(stacked).pivot_cols

@@ -7,13 +7,13 @@ Families:
 * ``classic``          -- random (a, b) lifted by c := b, d := a; the four
   conditions then hold identically.
 * ``strong``           -- random a, d upper triangular and random b; c is
-  solved exactly from acd = dbd, aca = dba, i.e. a c N = d b N with
-  N = [d | a], as c = G_a (d b) R^T with G_a the {1}-inverse of a and
-  R = G_{N^T} N^T read off rref(N^T) (two eliminations, of n x 2n and
-  2n x n, instead of one of the 2n^2 x n^2 Kronecker system); a draw is
-  kept when that c satisfies the premise.
-* ``triple_lift``      -- random triples with c = b + (kernel of a) noise,
-  so ab = ac, lifted by d := a.
+  solved from acd = dbd, aca = dba, i.e. a c N = d b N with N = [d | a],
+  as c = G_a (d b) R^T with G_a the {1}-inverse of a and R = G_{N^T} N^T
+  read off rref(N^T) (two eliminations, of n x 2n and 2n x n, instead of
+  one of the 2n^2 x n^2 Kronecker system); a draw is kept when that c
+  passes `check_strong_conditions`.
+* ``triple_lift``      -- random triples with c = b + K^T W, K the null-space
+  rows of a and W random, so ab = ac, lifted by d := a.
 * ``zero_padded_nilpotent`` -- a conjugated unipotent core forcing
   1-bd and 1-ac to be nilpotent of index >= 2 (the spectral-idempotent
   branch of the transfer formula goes live), padded by smaller blocks.
@@ -30,8 +30,8 @@ import random
 from dataclasses import dataclass
 
 from .errors import GenerationExhaustedError, InternalInvariantError
-from .matrices import Matrix, _place_rows, block_diag, inverse, null_space_basis, one_inverse, rref
-from .transfer import Quadruple
+from .matrices import Matrix, _null_rows, _place_rows, block_diag, inverse, one_inverse, rref
+from .transfer import Quadruple, check_strong_conditions
 
 MAX_SIZE = 8
 
@@ -144,15 +144,15 @@ def _gen_strong(n: int, rng: random.Random) -> Quadruple:
         d = _rand_upper_triangular(n, rng)
         b = _rand_matrix(n, rng, -2, 2)
         c = _solve_strong_for_c(a, b, d)
-        if c is not None:
+        if check_strong_conditions(a, b, c, d).all_hold:
             return Quadruple(a, b, c, d)
     raise GenerationExhaustedError(
         f"no solvable (a, d, b) for the strong premise in {MAX_ATTEMPTS} attempts"
     )
 
 
-def _solve_strong_for_c(a: Matrix, b: Matrix, d: Matrix) -> Matrix | None:
-    """Exact solution c of a c d = d b d and a c a = d b a, or None.
+def _solve_strong_for_c(a: Matrix, b: Matrix, d: Matrix) -> Matrix:
+    """The candidate solution c of a c d = d b d and a c a = d b a.
 
     Both equations together read a c N = d b N with N = [d | a]; flattened
     row-major, c's coefficient matrix is a (x) N^T up to the order of its
@@ -161,7 +161,7 @@ def _solve_strong_for_c(a: Matrix, b: Matrix, d: Matrix) -> Matrix | None:
     off that n^2-unknown system (every free variable 0) is
     G_a (d b N) G_{N^T}^T, with G the {1}-inverses that `one_inverse` reads
     off rref([X | I]); it solves the system exactly when the system is
-    consistent, so the premise itself is the acceptance test.
+    consistent, so the caller tests the premise on it.
 
     N G_{N^T}^T is R^T with R = G_{N^T} N^T, and R needs no {1}-inverse:
     the right block E of rref([N^T | I]) has E N^T = rref(N^T), so R is
@@ -169,26 +169,21 @@ def _solve_strong_for_c(a: Matrix, b: Matrix, d: Matrix) -> Matrix | None:
     elimination. Hence c = G_a (d b) R^T; R = I when rank N = n. The
     {1}-inverse identity N^T G N^T = N^T is checked as N^T R = N^T.
     """
-    ends = d.hstack(a)
-    ends_t = ends.T
+    ends_t = d.hstack(a).T
     reduced, _, pivots = rref(ends_t)
     r = _place_rows(reduced, pivots, ends_t.cols, 0)
     if ends_t * r != ends_t:
         raise InternalInvariantError("the strong solve's R failed N^T R = N^T")
-    db = d * b
-    c = one_inverse(a) * db * r.T
-    return c if a * c * ends == db * ends else None
+    return one_inverse(a) * (d * b) * r.T
 
 
 def _gen_triple_lift(n: int, rng: random.Random) -> Quadruple:
     a = _rand_low_rank(n, rng)  # singular so that ker(a) gives room for c != b
     b = _rand_matrix(n, rng)
-    kernel = null_space_basis(a)
-    c = b
-    for vec in kernel:
-        # add vec * (random row) so each perturbation column stays in ker(a)
-        weights = Matrix(1, n, (rng.randint(-2, 2) for _ in range(n)))
-        c = c + vec * weights
+    kernel = _null_rows(rref(a))
+    # each column of K^T W is a combination of null vectors, so it stays in ker(a)
+    weights = Matrix(kernel.rows, n, (rng.randint(-2, 2) for _ in range(kernel.rows * n)))
+    c = b + kernel.T * weights
     if a * c != a * b:
         raise InternalInvariantError("kernel perturbation escaped the kernel")
     return Quadruple(a, b, c, a)

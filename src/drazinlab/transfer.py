@@ -333,12 +333,12 @@ def power_instance(q: Quadruple, n: int) -> Quadruple:
     c' = c sum_{k<n} (1-ac)^k and b' = sum_{k<n} (1-bd)^k b: the geometric
     sums telescope, a c' = (1 - (1-ac)) sum_{k<n} (1-ac)^k = 1 - (1-ac)^n.
     They are grown in Horner form, c' <- c + c' beta and b' <- b + alpha b'
-    with q's memoized alpha = 1 - bd and beta = 1 - ac, so n = 1 returns q
-    itself. q memoizes the last step k > 1 reached, (k, derived_k): a call
-    with k <= n resumes from it and checks against derived_k's beta times
-    beta^(n-k), any other starts from q and checks against beta^n, by
-    repeated squaring; likewise for alpha. Both power identities and the
-    derived quadruple's conditions are checked. Raises ValueError unless
+    with q's memoized alpha = 1 - bd and beta = 1 - ac; n = 1 is q itself,
+    returned before any product. q memoizes the last step k > 1 reached,
+    (k, derived_k): a call with k <= n resumes from it, any other starts
+    from k = 1 with derived_1 = q. Either way derived_n is checked against
+    derived_k's beta times beta^(n-k), by repeated squaring, likewise for
+    alpha, and on its conditions. Raises ValueError unless
     1 <= n <= MAX_POWER and n times q's longest entry in bits is at most
     MAX_POWER_BITS, and ConditionsViolatedError when q's conditions fail.
     """
@@ -350,23 +350,20 @@ def power_instance(q: Quadruple, n: int) -> Quadruple:
     if n * bits > MAX_POWER_BITS:
         raise ValueError(f"power construction needs n * {bits} entry bits <= {MAX_POWER_BITS}")
     _require_conditions(q)
+    if n == 1:
+        return q
     k, start = q._power_step or (1, q)
     if k > n:
         k, start = 1, q
     derived = start
     for _ in range(k, n):
         derived = Quadruple(q.a, q.b + q.alpha * derived.b, q.c + derived.c * q.beta, q.d)
-    # start.beta and start.alpha were checked against the k-th powers
-    if k == 1:
-        beta_n, alpha_n = q.beta**n, q.alpha**n
-    else:
-        beta_n, alpha_n = start.beta * q.beta ** (n - k), start.alpha * q.alpha ** (n - k)
-    if derived.beta != beta_n:
+    # start.beta and start.alpha are the k-th powers: q's own, or checked when stored
+    if derived.beta != start.beta * q.beta ** (n - k):
         raise InternalInvariantError("power construction failed for 1 - a c'")
-    if derived.alpha != alpha_n:
+    if derived.alpha != start.alpha * q.alpha ** (n - k):
         raise InternalInvariantError("power construction failed for 1 - b' d")
     if not derived.conditions.all_hold:
         raise InternalInvariantError("derived quadruple lost the side conditions")
-    if n > 1:
-        object.__setattr__(q, "_power_step", (n, derived))
+    object.__setattr__(q, "_power_step", (n, derived))
     return derived

@@ -126,13 +126,6 @@ def summarize(report: VerifyReport) -> str:
             f"spectral-idempotent branch: live on {live}, trivial on "
             f"{len(report.index_pairs) - live} (alpha invertible)"
         )
-        fwd = all(b <= a + 1 for (a, b) in pair_counts)
-        bwd = all(a <= b + 1 for (a, b) in pair_counts)
-        lines.append(
-            "index bound support: "
-            f"i(beta) <= i(alpha)+1 {'holds' if fwd else 'FAILS'}; "
-            f"i(alpha) <= i(beta)+1 {'holds' if bwd else 'FAILS'}"
-        )
     for f in report.failures[:20]:
         lines.append(f"FAIL instance {f.instance}: {f.prop} ({f.detail})")
     if len(report.failures) > 20:

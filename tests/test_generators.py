@@ -9,19 +9,29 @@ from drazinlab import (
     InternalInvariantError,
     Matrix,
     check_conditions,
+    check_strong_conditions,
     drazin,
     index_of,
     rank,
 )
 from drazinlab.generators import (
     FAMILIES,
+    MAX_SIZE,
     GeneratorSpec,
     _solve_strong_for_c,
     counterexample_instance,
     gen_family,
 )
 from drazinlab import generators, jsonio
-from util import as_matrix, grids, rand_int_matrix, record_calls, strong_c_reference
+from util import (
+    as_matrix,
+    grids,
+    rand_int_matrix,
+    record_calls,
+    strong_c_reference,
+    strong_reference,
+    triple_lift_reference,
+)
 
 
 def test_counterexample_instance_is_the_fixed_one():
@@ -132,8 +142,9 @@ def strong_operands(draw, n):
 
 
 def test_factored_strong_solve_matches_kronecker_solve():
-    """The factored solve gives the same c, or None, as one `solve` on the
-    Kronecker system; both outcomes occur among the draws, and so do
+    """The strong premise holds on the factored solve's c exactly when one
+    `solve` on the Kronecker system finds a solution, and then c is that
+    solution; both outcomes occur among the draws, and so do
     rank [d | a] = n (R = I) and rank [d | a] < n (R != I)."""
     outcomes, deficient = set(), set()
 
@@ -143,13 +154,33 @@ def test_factored_strong_solve_matches_kronecker_solve():
         n = data.draw(st.integers(1, 5))
         a, b, d = (data.draw(strong_operands(n)) for _ in range(3))
         c = _solve_strong_for_c(a, b, d)
-        assert c == strong_c_reference(a, b, d)
-        outcomes.add(c is None)
+        reference = strong_c_reference(a, b, d)
+        assert check_strong_conditions(a, b, c, d).all_hold == (reference is not None)
+        if reference is not None:
+            assert c == reference
+        outcomes.add(reference is None)
         deficient.add(rank(d.hstack(a)) < n)
 
     check()
     assert outcomes == {True, False}
     assert deficient == {True, False}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(("strong", "triple_lift")),
+    st.integers(1, MAX_SIZE),
+    st.integers(0, 2**32),
+    st.integers(1, 3),
+)
+def test_strong_and_triple_lift_match_their_references_property(family, size, seed, count):
+    """Both families give, draw for draw, the quadruples of their reference
+    constructions: the literal a c N = d b N acceptance, and one rank-one
+    term per null-space vector."""
+    reference = {"strong": strong_reference, "triple_lift": triple_lift_reference}[family]
+    rng = random.Random(seed)
+    expected = [reference(size, rng) for _ in range(count)]
+    assert gen_family(GeneratorSpec(family, size, seed=seed, count=count)) == expected
 
 
 @pytest.mark.parametrize("n", [1, 3, 5])

@@ -52,8 +52,23 @@ def test_report_serialization_and_summary():
     text = summarize(report)
     assert "instances: 1" in text
     assert "index pairs" in text
-    assert "i(beta) <= i(alpha)+1 holds" in text
-    assert "i(alpha) <= i(beta)+1 holds" in text
+
+
+def test_summary_shows_a_violated_index_bound(monkeypatch):
+    """An index pair beyond the bound is refused by `transfer_drazin`, so it
+    is never tabulated and the summary shows it as a FAIL line."""
+    evaluate = transfer_module._evaluate_transfer
+
+    def skewed(q, alpha_data):
+        return replace(evaluate(q, alpha_data), alpha_index=0, beta_index=2)
+
+    monkeypatch.setattr(transfer_module, "_evaluate_transfer", skewed)
+    report = run_battery([counterexample_instance()])
+    assert report.index_pairs == []
+    assert (
+        "FAIL instance 0: transfer evaluation (index bound violated: i(alpha)=0, i(beta)=2)"
+        in summarize(report)
+    )
 
 
 # The package attribute `drazin` is the function, so reach the module by name.

@@ -19,6 +19,7 @@ from math import comb, lcm
 from hypothesis import strategies as st
 
 from drazinlab import GaussianRational, Matrix, Quadruple
+from drazinlab.generators import MAX_ATTEMPTS, _solve_strong_for_c
 from drazinlab.matrices import _bilinear, _gather, _grid, null_space_basis, solve
 
 
@@ -291,6 +292,39 @@ def strong_c_reference(a: Matrix, b: Matrix, d: Matrix) -> Matrix | None:
     rhs = vstack(reshape(d * b * d, n * n, 1), reshape(d * b * a, n * n, 1))
     x = solve(system, rhs)
     return None if x is None else reshape(x, n, n)
+
+
+def _rand_upper(rng: random.Random, n: int) -> Matrix:
+    return Matrix(n, n, (rng.randint(-3, 3) if i <= j else 0 for i in range(n) for j in range(n)))
+
+
+def strong_reference(n: int, rng: random.Random) -> Quadruple | None:
+    """One `strong` quadruple from the generator's draws of a, d and b, with
+    c from the factored solve and a draw kept when a c N = d b N for
+    N = [d | a], both sides formed literally: the reference for the premise
+    test of `generators._gen_strong`. None when no draw is kept."""
+    for _ in range(MAX_ATTEMPTS):
+        a = _rand_upper(rng, n)
+        d = _rand_upper(rng, n)
+        b = rand_int_matrix(rng, n, n, -2, 2)
+        c = _solve_strong_for_c(a, b, d)
+        ends = d.hstack(a)
+        if a * c * ends == d * b * ends:
+            return Quadruple(a, b, c, d)
+    return None
+
+
+def triple_lift_reference(n: int, rng: random.Random) -> Quadruple:
+    """One `triple_lift` quadruple from the generator's draws, with c = b
+    plus one rank-one term v w per vector v of `null_space_basis(a)`, w a
+    random 1 x n row: the reference for the single product K^T W of
+    `generators._gen_triple_lift`."""
+    a = rand_rank_matrix(rng, n, rng.randint(0, n - 1))
+    b = rand_int_matrix(rng, n)
+    c = b
+    for vec in null_space_basis(a):
+        c = c + vec * rand_int_matrix(rng, 1, n, -2, 2)
+    return Quadruple(a, b, c, a)
 
 
 def conditions_reference(a: Matrix, b: Matrix, c: Matrix, d: Matrix):
