@@ -88,19 +88,17 @@ def nilpotency_index(a: Matrix) -> int:
     raise ValueError("matrix is not nilpotent")
 
 
-def _verify_drazin(a: Matrix, data: DrazinData, ax: Matrix, ak: Matrix) -> None:
-    """Check data against the defining equations; ax = a A^D, ak = a^index."""
-    x, p = data.dinv, data.spectral_idempotent
+def _verify_drazin(a: Matrix, x: Matrix, ax: Matrix, ak: Matrix) -> None:
+    """Check x = A^D against the defining equations; ax = a x, ak = a^index.
+    They imply the rest, so it is not checked again: (ax)(ax) = a(xax) = ax,
+    so p = I - ax is idempotent, and a^k p = a^k - a^k(ax) = 0, so the
+    core-nilpotent part vanishes at the index."""
     if ax != x * a:
         raise InternalInvariantError("Drazin candidate does not commute with the matrix")
     if x * ax != x:
         raise InternalInvariantError("Drazin candidate fails x a x = x")
     if ak * ax != ak:
         raise InternalInvariantError("Drazin candidate fails a^(k+1) x = a^k")
-    if p * p != p:
-        raise InternalInvariantError("spectral idempotent is not idempotent")
-    if not (ak * p).is_zero():
-        raise InternalInvariantError("core-nilpotent part does not vanish at the index")
 
 
 def drazin(a: Matrix) -> DrazinData:
@@ -113,9 +111,8 @@ def drazin(a: Matrix) -> DrazinData:
     l, al, _ = _index_and_power(a)
     dinv = inverse(a) if l == 0 else al * one_inverse(al * al * a) * al
     ax = a * dinv
-    data = DrazinData(dinv=dinv, index=l, spectral_idempotent=Matrix.identity(a.rows) - ax)
-    _verify_drazin(a, data, ax, al)
-    return data
+    _verify_drazin(a, dinv, ax, al)
+    return DrazinData(dinv=dinv, index=l, spectral_idempotent=Matrix.identity(a.rows) - ax)
 
 
 def group_inverse(a: Matrix) -> Matrix:

@@ -106,10 +106,8 @@ def _rand_upper_triangular(n: int, rng: random.Random) -> Matrix:
 
 
 def _rand_unimodular(n: int, rng: random.Random) -> Matrix:
-    """Integer matrix with integer inverse, built from a few shear operations."""
+    """Integer matrix (n >= 2) with integer inverse, built from a few shear operations."""
     u = Matrix.identity(n)
-    if n == 1:
-        return u
     for _ in range(2 * n):
         i, j = rng.sample(range(n), 2)
         k = rng.choice([-2, -1, 1, 2])

@@ -337,7 +337,7 @@ class Matrix:
         return hash((self.den, self.re, self.im))
 
     def __repr__(self):
-        return f"Matrix.from_rows({[[str(e) for e in row] for row in self.to_rows()]})"
+        return f"Matrix.from_rows({self.to_rows()!r})"
 
     def __str__(self):
         cells = [[str(e) for e in row] for row in self.to_rows()]

@@ -311,7 +311,9 @@ def transfer_group(q: Quadruple) -> TransferOutcome:
     data, before any work on beta. The transferred value coincides with the
     Drazin formula (x = alpha^# when the index is at most 1); `agrees`
     additionally demands that beta has a group inverse and that the formula
-    reproduces it exactly.
+    reproduces it exactly. The group axiom is not checked again: then y is
+    beta's Drazin inverse, verified by `drazin` at an index k <= 1, and
+    k = 1 gives beta y beta = beta (beta y) = beta, k = 0 gives beta y = 1.
     """
     _require_conditions(q)
     alpha_data = drazin(q.alpha)
@@ -320,10 +322,6 @@ def transfer_group(q: Quadruple) -> TransferOutcome:
     outcome = _evaluate_transfer(q, alpha_data)
     if outcome.beta_index > 1:
         return replace(outcome, agrees=False)
-    if outcome.agrees:
-        y = outcome.beta_drazin.dinv
-        if outcome.beta * y * outcome.beta != outcome.beta:
-            raise InternalInvariantError("value at index <= 1 fails the group axiom a x a = a")
     return outcome
 
 

@@ -7,8 +7,9 @@ Per quadruple, in order:
 * transfer evaluation -- `transfer_drazin` raised: an index bound failed,
   the resolvent's finite sum did not close (p alpha (1+bd) nonzero at
   alpha's index), or a kernel self-check failed. `drazin`
-  checks each result against the defining equations and the core-nilpotent
-  part at the index, so a transferred value equal to it needs no more.
+  checks each result against the defining equations, which imply that
+  the core-nilpotent part vanishes at the index, so a transferred value
+  equal to it needs no more.
 * transfer agreement -- the formula's value differs from the direct one.
 * double commutant -- a Drazin inverse commutes with everything that
   commutes with its matrix (Drazin 1958), so the transferred value y must.
@@ -17,12 +18,11 @@ Per quadruple, in order:
   is the test "y is in span{I, beta, ..., beta^(n-1)}": one elimination
   of an n^2 x (n+1) matrix (`in_double_commutant`). The commutant of beta
   itself is never built.
-* power construction -- `power_instance` for n = 1..POWER_MAX, and n = 1
-  must return the quadruple verbatim: it is q itself, whose ac, bd,
-  alpha = 1 - bd, beta = 1 - ac and report are memoized, so it forms no
-  product and no difference. Each call n >= 2 resumes the Horner chain
-  c' <- c + c' beta, b' <- b + alpha b' from the step that the call
-  before it reached on q, and checks both power identities,
+* power construction -- `power_instance` for n = 2..POWER_MAX. n = 1 is
+  not called: it returns q itself after checks that the transfer and the
+  later calls already make, so it could never fail. Each call resumes the
+  Horner chain c' <- c + c' beta, b' <- b + alpha b' from the step that
+  the call before it reached on q, and checks both power identities,
   1 - ac' = beta^n and 1 - b'd = alpha^n (against beta^(n-1) beta, and
   likewise for alpha), and the derived quadruple's conditions, the latter
   through the one defect e = ac' - db'.
@@ -89,13 +89,11 @@ def _first_failure(idx: int, q: Quadruple, index_pairs: list[tuple[int, int]]) -
     if not in_double_commutant(outcome.beta, outcome.beta_drazin.dinv):
         return Failure(idx, "double commutant", "y is not a polynomial in beta")
 
-    for n in range(1, POWER_MAX + 1):
+    for n in range(2, POWER_MAX + 1):
         try:
-            derived = power_instance(q, n)
+            power_instance(q, n)
         except InternalInvariantError as exc:
             return Failure(idx, "power construction", f"n={n}: {exc}")
-        if n == 1 and derived != q:
-            return Failure(idx, "power construction", "n=1 did not return the quadruple verbatim")
     return None
 
 

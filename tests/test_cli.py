@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from drazinlab import GaussianRational, IdentityFalsifiedError, Matrix, Quadruple, jsonio, transfer
+from drazinlab import verify as verify_module
 from drazinlab.cli import build_parser, main
 from drazinlab.generators import GeneratorSpec, MAX_SIZE, counterexample_instance, gen_family
 from drazinlab.transfer import MAX_POWER, MAX_POWER_BITS, power_instance
@@ -36,6 +37,10 @@ def test_drazin_command_roundtrips(tmp_path, capsys):
     dinv = jsonio.matrix_from_obj(out["dinv"])
     assert jsonio.dumps(jsonio.matrix_to_obj(dinv)) == jsonio.dumps(out["dinv"])
     assert dinv.is_identity()
+    # --pretty indents the same JSON object
+    assert main(["drazin", "--input", path, "--pretty"]) == 0
+    text = capsys.readouterr().out
+    assert "\n  " in text and json.loads(text) == out
 
 
 def test_drazin_command_nilpotent(tmp_path, capsys):
@@ -162,6 +167,9 @@ def test_gen_command_deterministic(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
     fields, quads = jsonio.corpus_from_obj(json.loads(out1.read_text()))
     assert fields["count"] == 4 and len(quads) == 4
+    # without --output the same corpus text goes to stdout
+    assert main(args) == 0
+    assert capsys.readouterr().out == out1.read_text()
 
 
 def test_gen_command_unwritable_output(tmp_path, capsys):
@@ -245,10 +253,18 @@ def test_verify_command_counterexample(capsys):
     assert "index pairs" in captured.err
 
 
-def test_verify_command_classic(capsys):
+def test_verify_command_classic(capsys, monkeypatch):
     assert main(["verify", "--family", "classic", "--size", "3", "--count", "5", "--seed", "1"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["passed"] == 5 and report["failures"] == []
+    # the summary lists the first 20 failures and counts the rest
+    monkeypatch.setattr(verify_module, "in_double_commutant", lambda a, y: False)
+    assert main(["verify", "--family", "classic", "--size", "2", "--count", "23", "--seed", "1"]) == 1
+    captured = capsys.readouterr()
+    assert len(json.loads(captured.out)["failures"]) == 23
+    lines = captured.err.splitlines()
+    assert sum(line.startswith("FAIL instance") for line in lines) == 20
+    assert lines[-1] == "... and 3 more failures"
 
 
 def test_verify_command_has_no_json_flag():

@@ -1,5 +1,6 @@
 import importlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -260,13 +261,33 @@ def test_drazin_matches_oracle_property(a):
 
 def test_drazin_reuses_the_index_power(monkeypatch):
     # the 4x4 shift has index 4: index_of forms a^2..a^5, the {1}-inverse
-    # route 2 + 2 + 2 products, a A^D one, the self-check five; a^4 is
-    # the power the rank sequence already formed
+    # route 2 + 2 + 2 products, a A^D one, the self-check three (one per
+    # defining equation); a^4 is the power the rank sequence already formed
     shift = as_matrix([[int(j == i + 1) for j in range(4)] for i in range(4)])
     products = record_calls(monkeypatch, Matrix, "__mul__")
     data = drazin(shift)
     assert data.index == 4 and data.dinv.is_zero()
-    assert len(products) == 16
+    assert len(products) == 14
+
+
+@pytest.mark.parametrize(
+    "x, message",
+    [
+        ([[1, 0], [1, 0]], "does not commute"),
+        ([[1, 0], [0, 1]], "fails x a x = x"),
+        ([[0, 0], [0, 0]], "fails a^(k+1) x = a^k"),
+    ],
+)
+def test_self_check_rejects_a_candidate_breaking_one_equation(x, message):
+    # a = diag(1, 0) has index 1 and A^D = a; each candidate breaks exactly
+    # one of the three defining equations, and that check raises
+    a = as_matrix([[1, 0], [0, 0]])
+    x = as_matrix(x)
+    ax = a * x
+    broken = [ax != x * a, x * ax != x, a * ax != a]
+    assert sum(broken) == 1
+    with pytest.raises(InternalInvariantError, match=re.escape(message)):
+        drazin_module._verify_drazin(a, x, ax, a)
 
 
 def test_oracle_eliminates_the_power_and_the_basis_change_once(monkeypatch):

@@ -221,3 +221,11 @@ def test_matrices_are_hashable_values():
     a = as_matrix([[1, 2], [3, 4]])
     b = as_matrix([[1, 2], [3, 4]])
     assert len({a, b}) == 1
+
+
+def test_repr_round_trips_and_str_aligns_columns():
+    m = as_matrix([[Fraction(1, 2), GaussianRational(0, 1)], [3, GaussianRational(-1, 2)]])
+    names = {"Matrix": Matrix, "GaussianRational": GaussianRational, "Fraction": Fraction}
+    assert eval(repr(m), names) == m
+    # every cell is right-aligned to the widest entry, here "-1+2i"
+    assert str(m) == "[  1/2      i]\n[    3  -1+2i]"

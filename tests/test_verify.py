@@ -128,7 +128,7 @@ def test_battery_checks_conditions_once_per_quadruple(monkeypatch):
     assert run_battery([q]).ok
     # the generator's self-check, then one per derived quadruple for
     # n = 2..POWER_MAX: the transfer reads the instance's memoized report
-    # and n = 1 returns the instance itself
+    # and the battery does not call n = 1
     assert len(calls) == POWER_MAX
     assert calls[0] is q
     assert calls[1:] == [power_reference(q, n) for n in range(2, POWER_MAX + 1)]
