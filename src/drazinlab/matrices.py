@@ -26,6 +26,25 @@ null-space basis, {1}-inverse), is the same exact value whatever route the
 elimination takes. `inverse`, `solve` and `one_inverse` all read their
 answer off rref([a | b]) through `_read_off`.
 
+The two inner loops, the grid product `_gmul` and the row step over Z,
+run as straight-line kernels generated on first use, one per shape. A
+product kernel for (rows, inner, cols) unpacks both grids into locals and
+writes each entry out as x0_0 * y0_0 + x0_1 * y1_0 + ..., the same integer
+sum the loop forms; a row-step kernel for one width writes out both
+branches of `_z_step`. This removes the interpreter's per-entry overhead
+(the loop builds a generator frame per product entry), not arithmetic:
+every value, and the number of products and eliminations, is the loops'.
+`rref` picks its step once per elimination through `_z_step_for`. A kernel
+is compiled with `exec`, as `dataclasses` builds its methods, from source
+text made of the shape's integers alone, never of entries or other input,
+and kept in a bounded `lru_cache`. Only shapes within `_KERNEL_SIDE`, the
+largest input side, get one: product dimensions up to twice it ([a | b])
+and row widths up to its square (the n^2-column commutation system).
+Larger shapes run the loops. The bound caps compile time and memory (a
+16x16x16 product kernel compiles in about 80 ms and keeps about 230 kB),
+and keeps clear of CPython's compiler, which raises RecursionError on a
+`+` chain a few thousand terms long.
+
 `GaussianRational` is the scalar only at the API boundary: the
 constructor, `entry`, `to_rows` and `scale`'s argument. It has
 no arithmetic of its own, and `*` is the matrix product only: `scale` is
@@ -69,10 +88,59 @@ def _scalar_ints(value) -> tuple[int, int, int]:
     )
 
 
+# -- generated straight-line kernels -------------------------------------------
+
+# The largest matrix side an input may have (generators.MAX_SIZE, which
+# imports this module), and so the bound on the shapes that get a kernel.
+_KERNEL_SIDE = 8
+
+
+def _kernel(name, params, body):
+    """The function `name(params)` compiled from source lines `body`, which
+    are built from shape integers only."""
+    namespace = {}
+    exec("\n    ".join([f"def {name}({params}):", *body]), namespace)
+    return namespace[name]
+
+
+def _unpack(names):
+    """Target list unpacking a grid into `names`, a list of rows of names."""
+    return "".join("(" + "".join(v + ", " for v in row) + "), " for row in names)
+
+
+@lru_cache(maxsize=256)
+def _product_kernel(n, k, m):
+    """Straight-line product of an n x k by a k x m integer grid: entry
+    (i, j) is x{i}_0 * y0_{j} + ... + x{i}_{k-1} * y{k-1}_{j}."""
+    xs = [[f"x{i}_{t}" for t in range(k)] for i in range(n)]
+    ys = [[f"y{t}_{j}" for j in range(m)] for t in range(k)]
+    entries = [
+        [" + ".join(f"{xs[i][t]} * {ys[t][j]}" for t in range(k)) for j in range(m)]
+        for i in range(n)
+    ]
+    body = [f"{_unpack(xs)}= x", f"{_unpack(ys)}= y", f"return ({_unpack(entries)})"]
+    return _kernel("product", "x, y", body)
+
+
+@lru_cache(maxsize=_KERNEL_SIDE**2)
+def _z_step_kernel(width):
+    """Straight-line `_z_step` for rows of `width` ints."""
+    xs, ys = [f"x{j}" for j in range(width)], [f"y{j}" for j in range(width)]
+    swept = ", ".join(f"(piv * {x} - f * {y}) // prev" for x, y in zip(xs, ys))
+    scaled = ", ".join(f"piv * {x} // prev" for x in xs)
+    body = [f"{', '.join(xs)}, = row", "if f:", f"    {', '.join(ys)}, = prow"]
+    body += [f"    return [{swept}]", f"return [{scaled}]"]
+    return _kernel("step", "row, prow, piv, f, prev", body)
+
+
 # -- integer grids (tuples or lists of rows) ----------------------------------
 
 
 def _gmul(x, y):
+    """x y for integer grids: the shape's kernel, or the loop past the bound."""
+    n, k, m = len(x), len(y), len(y[0])
+    if n <= 2 * _KERNEL_SIDE and k <= 2 * _KERNEL_SIDE and m <= 2 * _KERNEL_SIDE:
+        return _product_kernel(n, k, m)(x, y)
     cols = tuple(zip(*y))
     return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in x)
 
@@ -422,6 +490,12 @@ def _z_step(row, prow, piv, f, prev):
     return [piv * x // prev for x in row]
 
 
+def _z_step_for(width):
+    """The row step over Z for rows of `width` ints: the generated kernel
+    up to the bound, `_z_step` past it."""
+    return _z_step_kernel(width) if width <= _KERNEL_SIDE**2 else _z_step
+
+
 def _zi_step(row, prow, piv, f, prev):
     """The row step over Z[i], on rows of (re, im) pairs.
 
@@ -450,7 +524,7 @@ def rref(a: Matrix) -> RrefResult:
     """
     if a.im is None:
         work = [list(row) for row in a.re]
-        d, pivots = _eliminate(work, a.cols, bool, _z_step, 1)
+        d, pivots = _eliminate(work, a.cols, bool, _z_step_for(a.cols), 1)
         reduced = Matrix._make(d, tuple(map(tuple, work)), None)
     else:
         work = [list(zip(u, v)) for u, v in zip(a.re, a.im)]

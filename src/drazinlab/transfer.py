@@ -334,9 +334,10 @@ def power_instance(q: Quadruple, n: int) -> Quadruple:
     with q's memoized alpha = 1 - bd and beta = 1 - ac; n = 1 is q itself,
     returned before any product. q memoizes the last step k > 1 reached,
     (k, derived_k): a call with k <= n resumes from it, any other starts
-    from k = 1 with derived_1 = q. Either way derived_n is checked against
-    derived_k's beta times beta^(n-k), by repeated squaring, likewise for
-    alpha, and on its conditions. Raises ValueError unless
+    from k = 1 with derived_1 = q. derived_n is checked against beta^n
+    when it started from q, and otherwise against derived_k's beta times
+    beta^(n-k), powers by repeated squaring, likewise for alpha, and on its
+    conditions. Raises ValueError unless
     1 <= n <= MAX_POWER and n times q's longest entry in bits is at most
     MAX_POWER_BITS, and ConditionsViolatedError when q's conditions fail.
     """
@@ -356,10 +357,11 @@ def power_instance(q: Quadruple, n: int) -> Quadruple:
     derived = start
     for _ in range(k, n):
         derived = Quadruple(q.a, q.b + q.alpha * derived.b, q.c + derived.c * q.beta, q.d)
-    # start.beta and start.alpha are the k-th powers: q's own, or checked when stored
-    if derived.beta != start.beta * q.beta ** (n - k):
+    # start.beta and start.alpha are the k-th powers: checked when stored.
+    # From q itself, beta^n is formed by squaring alone, not as beta beta^(n-1).
+    if derived.beta != (q.beta**n if k == 1 else start.beta * q.beta ** (n - k)):
         raise InternalInvariantError("power construction failed for 1 - a c'")
-    if derived.alpha != start.alpha * q.alpha ** (n - k):
+    if derived.alpha != (q.alpha**n if k == 1 else start.alpha * q.alpha ** (n - k)):
         raise InternalInvariantError("power construction failed for 1 - b' d")
     if not derived.conditions.all_hold:
         raise InternalInvariantError("derived quadruple lost the side conditions")

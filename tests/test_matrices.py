@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drazinlab import (
     GaussianRational,
@@ -15,6 +17,15 @@ from drazinlab import (
     rank,
     rref,
     solve,
+)
+from drazinlab.generators import MAX_SIZE
+from drazinlab.matrices import (
+    _KERNEL_SIDE,
+    _gmul,
+    _product_kernel,
+    _z_step,
+    _z_step_for,
+    _z_step_kernel,
 )
 from util import (
     as_matrix,
@@ -229,3 +240,73 @@ def test_repr_round_trips_and_str_aligns_columns():
     assert eval(repr(m), names) == m
     # every cell is right-aligned to the widest entry, here "-1+2i"
     assert str(m) == "[  1/2      i]\n[    3  -1+2i]"
+
+
+# Entries of every size up to 200 bits, negative ones included.
+BIG_INTS = st.one_of(st.integers(-9, 9), st.integers(-(2**200), 2**200))
+
+
+def rand_big_grid(rng, rows, cols):
+    return tuple(
+        tuple(rng.choice((-1, 1)) * rng.getrandbits(rng.choice((3, 64, 200))) for _ in range(cols))
+        for _ in range(rows)
+    )
+
+
+def test_kernel_bound_is_the_input_limit():
+    assert _KERNEL_SIDE == MAX_SIZE
+
+
+def test_product_kernel_matches_triple_loop_on_every_shape_up_to_eight():
+    rng = random.Random(41)
+    for n in range(1, 9):
+        for k in range(1, 9):
+            for m in range(1, 9):
+                x, y = rand_big_grid(rng, n, k), rand_big_grid(rng, k, m)
+                assert _gmul(x, y) == tuple(map(tuple, imat_mul(x, y)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_product_kernel_matches_triple_loop_property(data):
+    n, k, m = (data.draw(st.integers(1, 2 * _KERNEL_SIDE)) for _ in range(3))
+    x = data.draw(st.lists(st.lists(BIG_INTS, min_size=k, max_size=k), min_size=n, max_size=n))
+    y = data.draw(st.lists(st.lists(BIG_INTS, min_size=m, max_size=m), min_size=k, max_size=k))
+    assert _gmul(x, y) == tuple(map(tuple, imat_mul(x, y)))
+
+
+def test_product_past_the_bound_runs_the_loop_and_builds_no_kernel():
+    rng = random.Random(43)
+    past = 2 * _KERNEL_SIDE + 1
+    before = _product_kernel.cache_info()
+    for n, k, m in ((past, 2, 3), (2, past, 3), (3, 2, past), (past, past, 1)):
+        x, y = rand_big_grid(rng, n, k), rand_big_grid(rng, k, m)
+        assert _gmul(x, y) == tuple(map(tuple, imat_mul(x, y)))
+    after = _product_kernel.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+def z_step_reference(row, prow, piv, f, prev):
+    if f:
+        return [(piv * x - f * y) // prev for x, y in zip(row, prow)]
+    return [piv * x // prev for x in row]
+
+
+def test_row_step_kernel_matches_the_reference_on_every_width():
+    rng = random.Random(47)
+    widest = _KERNEL_SIDE**2
+    for width in range(1, widest + 2):
+        step = _z_step_for(width)
+        assert (step is _z_step) == (width > widest)
+        for f in (0, rng.choice((-1, 1)) * (rng.getrandbits(200) + 1)):
+            prev = rng.choice((1, -1)) * (rng.getrandbits(100) + 1)
+            piv = rng.choice((-1, 1)) * (rng.getrandbits(150) + 1)
+            # multiples of prev, so that every division is exact
+            row = [prev * v for v in rand_big_grid(rng, 1, width)[0]]
+            prow = [prev * v for v in rand_big_grid(rng, 1, width)[0]]
+            out = step(row, prow, piv, f, prev)
+            assert out == z_step_reference(row, prow, piv, f, prev)
+            assert [v * prev for v in out] == [piv * x - f * y for x, y in zip(row, prow)]
+    before = _z_step_kernel.cache_info()
+    assert _z_step_for(widest + 1) is _z_step
+    assert _z_step_kernel.cache_info() == before

@@ -480,12 +480,15 @@ def test_power_instance_forms_fewer_products_than_binomial_sums(monkeypatch):
         products.clear()
         power_instance(q, n)
         assert len(products) == count < binomial
-    # a fresh quadruple starts from q: two Horner steps, squaring for both powers
-    q = Quadruple(q.a, q.b, q.c, q.d)
-    q.conditions, q.bd
-    products.clear()
-    power_instance(q, 3)
-    assert len(products) == 17
+    # a fresh quadruple starts from q: n - 1 Horner steps, and (1-ac)^n and
+    # (1-bd)^n by squaring alone (they were (1-ac) (1-ac)^(n-1), 21, 33 and
+    # 53 products at n = 4, 8 and 16)
+    for n, count in ((3, 17), (4, 19), (8, 29), (16, 47)):
+        q = Quadruple(q.a, q.b, q.c, q.d)
+        q.conditions, q.bd
+        products.clear()
+        power_instance(q, n)
+        assert len(products) == count
 
 
 def test_transfer_group_on_index_one_instances():
