@@ -34,7 +34,6 @@ from .matrices import (
     _gmul,
     _grid,
     _null_rows,
-    block_diag,
     inverse,
     one_inverse,
     rref,
@@ -130,10 +129,10 @@ def oracle_drazin(a: Matrix) -> DrazinData:
     With k the index, columns of a^k spanning its column space and a basis
     of its null space are glued into a change of basis P; then P^-1 a P is
     block diagonal with an invertible core C and a nilpotent tail N, and
-    A^D = P diag(C^-1, 0) P^-1. Each matrix is eliminated once: a^k by the
-    rank sequence, whose reduced form gives its rank, pivot columns and
-    kernel, and P for its inverse, whose failure means the two spaces do
-    not complement.
+    A^D = P diag(C^-1, 0) P^-1 = P[:, :r] C^-1 P^-1[:r, :], r = rank(a^k).
+    Each matrix is eliminated once: a^k by the rank sequence, whose reduced
+    form gives its rank, pivot columns and kernel, and P for its inverse,
+    whose failure means the two spaces do not complement.
     """
     _require_square(a, "Drazin inverse")
     n = a.rows
@@ -157,10 +156,9 @@ def oracle_drazin(a: Matrix) -> DrazinData:
         raise InternalInvariantError("tail block is not nilpotent at the index")
     if r:
         core = m.take_rows(range(r)).take_columns(range(r))
-        core_inv_block = block_diag(inverse(core), Matrix.zeros(n - r, n - r))
+        dinv = p.take_columns(range(r)) * inverse(core) * p_inv.take_rows(range(r))
     else:
-        core_inv_block = Matrix.zeros(n, n)
-    dinv = p * core_inv_block * p_inv
+        dinv = Matrix.zeros(n, n)
     return DrazinData(dinv, k, Matrix.identity(n) - a * dinv)
 
 

@@ -30,10 +30,17 @@ import random
 from dataclasses import dataclass
 
 from .errors import GenerationExhaustedError, InternalInvariantError
-from .matrices import Matrix, _null_rows, _place_rows, block_diag, inverse, one_inverse, rref
+from .matrices import (
+    MAX_SIZE,
+    Matrix,
+    _null_rows,
+    _place_rows,
+    block_diag,
+    inverse,
+    one_inverse,
+    rref,
+)
 from .transfer import Quadruple, check_strong_conditions
-
-MAX_SIZE = 8
 
 # Draws `_gen_strong` makes before it gives up with GenerationExhaustedError.
 MAX_ATTEMPTS = 1000

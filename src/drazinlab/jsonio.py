@@ -12,7 +12,7 @@ repeated strings are parsed once per process.
 A quadruple is `{"a": .., "b": .., "c": .., "d": ..}`; when "d" is absent
 the loader lifts the triple by setting d := a.
 
-A matrix side over `generators.MAX_SIZE` is refused: exact elimination
+A matrix side over `matrices.MAX_SIZE` is refused: exact elimination
 has no cost bound, so the input size bounds a command's run time.
 
 Encoding is deterministic (sorted keys, fixed separators) so that equal
@@ -27,8 +27,7 @@ from typing import Any
 
 from .drazin import DrazinData
 from .errors import ParseError
-from .generators import MAX_SIZE
-from .matrices import Matrix
+from .matrices import MAX_SIZE, Matrix
 from .scalars import _parse_ratio
 from .transfer import ConditionReport, Quadruple, TransferOutcome
 

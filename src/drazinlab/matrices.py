@@ -37,7 +37,7 @@ every value, and the number of products and eliminations, is the loops'.
 `rref` picks its step once per elimination through `_z_step_for`. A kernel
 is compiled with `exec`, as `dataclasses` builds its methods, from source
 text made of the shape's integers alone, never of entries or other input,
-and kept in a bounded `lru_cache`. Only shapes within `_KERNEL_SIDE`, the
+and kept in a bounded `lru_cache`. Only shapes within `MAX_SIZE`, the
 largest input side, get one: product dimensions up to twice it ([a | b])
 and row widths up to its square (the n^2-column commutation system).
 Larger shapes run the loops. The bound caps compile time and memory (a
@@ -45,15 +45,15 @@ Larger shapes run the loops. The bound caps compile time and memory (a
 and keeps clear of CPython's compiler, which raises RecursionError on a
 `+` chain a few thousand terms long.
 
-`GaussianRational` is the scalar only at the API boundary: the
-constructor, `entry`, `to_rows` and `scale`'s argument. It has
-no arithmetic of its own, and `*` is the matrix product only: `scale` is
-the one path for a scalar multiple. The JSON codec builds a matrix from
-integer (re, im, den) triples through `_from_parts`, the same
-integer-level constructor that `Matrix(rows, cols, entries)` uses: it
-transposes the triples once, rescales them only when their common
-denominator is not 1 (an `int` entry is (v, 0, 1) as it stands), and
-drops an all-zero imaginary grid. Matrices are immutable, so
+`GaussianRational` is the scalar only at the API boundary: the constructor,
+`entry`, `to_rows` and `scale`'s argument. It has no arithmetic of its own,
+and `*` is the matrix product only: `scale` is the one path for a scalar
+multiple. `_make(den, re, im)` is the one function that writes a matrix's
+slots, in canonical form: it drops an all-zero imaginary grid, divides out
+the gcd and makes `den` positive. `copy` and `pickle` reach it through
+`__reduce__`, and `Matrix(rows, cols, entries)` and the JSON codec through
+`_from_parts`, which aligns row-major integer (re, im, den) triples over
+their lcm, rescaling only when it is not 1. Matrices are immutable, so
 `Matrix.identity` and `Matrix.zeros` return one cached instance per shape.
 """
 
@@ -90,9 +90,9 @@ def _scalar_ints(value) -> tuple[int, int, int]:
 
 # -- generated straight-line kernels -------------------------------------------
 
-# The largest matrix side an input may have (generators.MAX_SIZE, which
-# imports this module), and so the bound on the shapes that get a kernel.
-_KERNEL_SIDE = 8
+# The largest matrix side an input may have: the JSON codec and the
+# generators refuse larger ones. It also bounds the shapes that get a kernel.
+MAX_SIZE = 8
 
 
 def _kernel(name, params, body):
@@ -122,7 +122,7 @@ def _product_kernel(n, k, m):
     return _kernel("product", "x, y", body)
 
 
-@lru_cache(maxsize=_KERNEL_SIDE**2)
+@lru_cache(maxsize=MAX_SIZE**2)
 def _z_step_kernel(width):
     """Straight-line `_z_step` for rows of `width` ints."""
     xs, ys = [f"x{j}" for j in range(width)], [f"y{j}" for j in range(width)]
@@ -139,7 +139,7 @@ def _z_step_kernel(width):
 def _gmul(x, y):
     """x y for integer grids: the shape's kernel, or the loop past the bound."""
     n, k, m = len(x), len(y), len(y[0])
-    if n <= 2 * _KERNEL_SIDE and k <= 2 * _KERNEL_SIDE and m <= 2 * _KERNEL_SIDE:
+    if n <= 2 * MAX_SIZE and k <= 2 * MAX_SIZE and m <= 2 * MAX_SIZE:
         return _product_kernel(n, k, m)(x, y)
     cols = tuple(zip(*y))
     return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in x)
@@ -209,18 +209,13 @@ class Matrix:
 
     __slots__ = ("rows", "cols", "den", "re", "im")
 
-    def __init__(self, rows: int, cols: int, entries: Iterable):
-        self._fill(rows, cols, map(_scalar_ints, entries))
+    def __new__(cls, rows: int, cols: int, entries: Iterable):
+        return cls._from_parts(rows, cols, map(_scalar_ints, entries))
 
     @classmethod
     def _from_parts(cls, rows: int, cols: int, parts: Iterable[tuple[int, int, int]]) -> "Matrix":
         """Matrix from row-major (re, im, den) integer triples, each den > 0;
         entry k is (re + im i) / den and need not be in lowest terms."""
-        m = cls.__new__(cls)
-        m._fill(rows, cols, parts)
-        return m
-
-    def _fill(self, rows, cols, parts) -> None:
         if rows <= 0 or cols <= 0:
             raise ShapeError(f"matrix dimensions must be positive, got {rows}x{cols}")
         parts = list(parts)
@@ -233,12 +228,14 @@ class Matrix:
         if den != 1:
             re = [r * (den // d) for r, d in zip(re, dens)]
             im = [i * (den // d) for i, d in zip(im, dens)]
-        # _set drops a zero im grid too; testing the flat parts first skips
+        # _make drops a zero im grid too; testing the flat parts first skips
         # building one (2-3 us of a 4x4 or 6x6 real matrix).
-        self._set(rows, cols, den, _grid(re, cols), _grid(im, cols) if any(im) else None)
+        return cls._make(den, _grid(re, cols), _grid(im, cols) if any(im) else None)
 
-    def _set(self, rows, cols, den, re, im) -> None:
-        """Store the canonical form of (re + im i) / den."""
+    @classmethod
+    def _make(cls, den: int, re, im) -> "Matrix":
+        """The canonical form of (re + im i) / den, from nonempty integer
+        grids (tuples of rows): the one function that writes the slots."""
         if im is not None and not any(map(any, im)):
             im = None
         if den != 1:
@@ -250,18 +247,16 @@ class Matrix:
                 re = tuple(tuple(v // g for v in row) for row in re)
                 if im is not None:
                     im = tuple(tuple(v // g for v in row) for row in im)
-        _set_rows(self, rows)
-        _set_cols(self, cols)
-        _set_den(self, den)
-        _set_re(self, re)
-        _set_im(self, im)
-
-    @classmethod
-    def _make(cls, den: int, re, im) -> "Matrix":
-        """Matrix (re + im i) / den from nonempty integer grids (tuples of rows)."""
-        m = cls.__new__(cls)
-        m._set(len(re), len(re[0]), den, re, im)
+        m = object.__new__(cls)
+        _set_rows(m, len(re))
+        _set_cols(m, len(re[0]))
+        _set_den(m, den)
+        _set_re(m, re)
+        _set_im(m, im)
         return m
+
+    def __reduce__(self):
+        return Matrix._make, (self.den, self.re, self.im)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -493,7 +488,7 @@ def _z_step(row, prow, piv, f, prev):
 def _z_step_for(width):
     """The row step over Z for rows of `width` ints: the generated kernel
     up to the bound, `_z_step` past it."""
-    return _z_step_kernel(width) if width <= _KERNEL_SIDE**2 else _z_step
+    return _z_step_kernel(width) if width <= MAX_SIZE**2 else _z_step
 
 
 def _zi_step(row, prow, piv, f, prev):

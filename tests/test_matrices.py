@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 from fractions import Fraction
 
@@ -11,6 +14,7 @@ from drazinlab import (
     ShapeError,
     SingularMatrixError,
     block_diag,
+    drazin,
     inverse,
     null_space_basis,
     one_inverse,
@@ -18,9 +22,9 @@ from drazinlab import (
     rref,
     solve,
 )
-from drazinlab.generators import MAX_SIZE
+from drazinlab.generators import counterexample_instance
 from drazinlab.matrices import (
-    _KERNEL_SIDE,
+    MAX_SIZE,
     _gmul,
     _product_kernel,
     _z_step,
@@ -242,6 +246,20 @@ def test_repr_round_trips_and_str_aligns_columns():
     assert str(m) == "[  1/2      i]\n[    3  -1+2i]"
 
 
+def test_copy_and_pickle_round_trip():
+    real = as_matrix([[1, -2], [3, 4]])
+    rational = as_matrix([[Fraction(1, 2), Fraction(-2, 3)], [0, 5]])
+    gaussian = as_matrix([[GaussianRational(Fraction(1, 3), 2), 0], [1, GaussianRational(0, -1)]])
+    for m in (real, rational, gaussian):
+        pickled = [pickle.loads(pickle.dumps(m, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for c in (copy.copy(m), copy.deepcopy(m), *pickled):
+            assert type(c) is Matrix and c == m
+    assert dataclasses.asdict(drazin(rational))["dinv"] == drazin(rational).dinv
+    q = counterexample_instance()
+    assert q.conditions.all_hold  # memoized facts are copied too
+    assert copy.deepcopy(q) == q
+
+
 # Entries of every size up to 200 bits, negative ones included.
 BIG_INTS = st.one_of(st.integers(-9, 9), st.integers(-(2**200), 2**200))
 
@@ -251,10 +269,6 @@ def rand_big_grid(rng, rows, cols):
         tuple(rng.choice((-1, 1)) * rng.getrandbits(rng.choice((3, 64, 200))) for _ in range(cols))
         for _ in range(rows)
     )
-
-
-def test_kernel_bound_is_the_input_limit():
-    assert _KERNEL_SIDE == MAX_SIZE
 
 
 def test_product_kernel_matches_triple_loop_on_every_shape_up_to_eight():
@@ -269,7 +283,7 @@ def test_product_kernel_matches_triple_loop_on_every_shape_up_to_eight():
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_product_kernel_matches_triple_loop_property(data):
-    n, k, m = (data.draw(st.integers(1, 2 * _KERNEL_SIDE)) for _ in range(3))
+    n, k, m = (data.draw(st.integers(1, 2 * MAX_SIZE)) for _ in range(3))
     x = data.draw(st.lists(st.lists(BIG_INTS, min_size=k, max_size=k), min_size=n, max_size=n))
     y = data.draw(st.lists(st.lists(BIG_INTS, min_size=m, max_size=m), min_size=k, max_size=k))
     assert _gmul(x, y) == tuple(map(tuple, imat_mul(x, y)))
@@ -277,7 +291,7 @@ def test_product_kernel_matches_triple_loop_property(data):
 
 def test_product_past_the_bound_runs_the_loop_and_builds_no_kernel():
     rng = random.Random(43)
-    past = 2 * _KERNEL_SIDE + 1
+    past = 2 * MAX_SIZE + 1
     before = _product_kernel.cache_info()
     for n, k, m in ((past, 2, 3), (2, past, 3), (3, 2, past), (past, past, 1)):
         x, y = rand_big_grid(rng, n, k), rand_big_grid(rng, k, m)
@@ -294,7 +308,7 @@ def z_step_reference(row, prow, piv, f, prev):
 
 def test_row_step_kernel_matches_the_reference_on_every_width():
     rng = random.Random(47)
-    widest = _KERNEL_SIDE**2
+    widest = MAX_SIZE**2
     for width in range(1, widest + 2):
         step = _z_step_for(width)
         assert (step is _z_step) == (width > widest)
