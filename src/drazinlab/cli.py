@@ -99,6 +99,12 @@ def build_parser() -> argparse.ArgumentParser:
     def add_output_flags(p):
         p.add_argument("--pretty", action="store_true", help="indent the JSON output")
 
+    def add_corpus_flags(p):
+        p.add_argument("--family", choices=FAMILIES, required=True)
+        p.add_argument("--size", type=int, default=2)
+        p.add_argument("--count", type=int, default=1)
+        p.add_argument("--seed", type=int, default=0)
+
     p = sub.add_parser("drazin", help="Drazin data of one matrix")
     p.add_argument("--input", required=True, help="path to a matrix JSON file")
     add_output_flags(p)
@@ -116,10 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_check_conditions)
 
     p = sub.add_parser("gen", help="write a deterministic corpus of quadruples")
-    p.add_argument("--family", choices=FAMILIES, required=True)
-    p.add_argument("--size", type=int, default=2)
-    p.add_argument("--count", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    add_corpus_flags(p)
     p.add_argument("--output", help="corpus file path (stdout when omitted)")
     p.set_defaults(func=_cmd_gen)
 
@@ -131,10 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_power)
 
     p = sub.add_parser("verify", help="run the full property battery on a generated corpus")
-    p.add_argument("--family", choices=FAMILIES, required=True)
-    p.add_argument("--size", type=int, default=2)
-    p.add_argument("--count", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    add_corpus_flags(p)
     add_output_flags(p)
     p.set_defaults(func=_cmd_verify)
 

@@ -1,7 +1,7 @@
 """Drazin and group inverses, spectral idempotents, and the commutant.
 
-Two independent exact algorithms are provided on purpose: `drazin` goes
-through a {1}-inverse of a high power, `oracle_drazin` through the
+Two independent exact algorithms are provided on purpose: `drazin` reads
+A^D off one solve with a high power, `oracle_drazin` goes through the
 core-nilpotent splitting. They must agree entrywise on every input; a
 disagreement is a kernel bug, never a property of the input.
 
@@ -34,8 +34,8 @@ from .matrices import (
     _gmul,
     _grid,
     _null_rows,
+    _read_off,
     inverse,
-    one_inverse,
     rref,
 )
 
@@ -101,14 +101,17 @@ def _verify_drazin(a: Matrix, x: Matrix, ax: Matrix, ak: Matrix) -> None:
 
 
 def drazin(a: Matrix) -> DrazinData:
-    """Drazin inverse by the {1}-inverse route: A^D = A^l G A^l, G in (A^(2l+1)){1}.
+    """Drazin inverse read off one solve: A^D = A^l Y for any Y with
+    A^(2l+1) Y = A^l, l the index (at l = 0, Y = a^-1).
 
-    l is the index, so the formula is exact rational arithmetic end to end;
-    the result is verified against all defining equations before returning.
+    At the index ker A^(2l+1) = ker A^l, so A^l (I - G A^(2l+1)) = 0 for a
+    {1}-inverse G: the system is solvable, and A^l Y = A^l G A^l = A^D.
+    The result is verified against all defining equations; the third,
+    a^l (a x) = A^(2l+1) Y = a^l, fails exactly when Y is no solution.
     """
     _require_square(a, "Drazin inverse")
     l, al, _ = _index_and_power(a)
-    dinv = inverse(a) if l == 0 else al * one_inverse(al * al * a) * al
+    dinv = al * _read_off(al * al * a, al)[0]
     ax = a * dinv
     _verify_drazin(a, dinv, ax, al)
     return DrazinData(dinv=dinv, index=l, spectral_idempotent=Matrix.identity(a.rows) - ax)

@@ -8,10 +8,10 @@ Families:
   conditions then hold identically.
 * ``strong``           -- random a, d upper triangular and random b; c is
   solved from acd = dbd, aca = dba, i.e. a c N = d b N with N = [d | a],
-  as c = G_a (d b) R^T with G_a the {1}-inverse of a and R = G_{N^T} N^T
-  read off rref(N^T) (two eliminations, of n x 2n and 2n x n, instead of
-  one of the 2n^2 x n^2 Kronecker system); a draw is kept when that c
-  passes `check_strong_conditions`.
+  as one solution of a c = d b R^T, R = G_{N^T} N^T read off rref(N^T)
+  (two eliminations, of 2n x n and n x 2n, instead of one of the
+  2n^2 x n^2 Kronecker system); a draw is kept when that system is
+  consistent, and its c is checked by `check_strong_conditions`.
 * ``triple_lift``      -- random triples with c = b + K^T W, K the null-space
   rows of a and W random, so ab = ac, lifted by d := a.
 * ``zero_padded_nilpotent`` -- a conjugated unipotent core forcing
@@ -37,8 +37,8 @@ from .matrices import (
     _place_rows,
     block_diag,
     inverse,
-    one_inverse,
     rref,
+    solve,
 )
 from .transfer import Quadruple, check_strong_conditions
 
@@ -149,37 +149,34 @@ def _gen_strong(n: int, rng: random.Random) -> Quadruple:
         d = _rand_upper_triangular(n, rng)
         b = _rand_matrix(n, rng, -2, 2)
         c = _solve_strong_for_c(a, b, d)
-        if check_strong_conditions(a, b, c, d).all_hold:
-            return Quadruple(a, b, c, d)
+        if c is None:
+            continue
+        if not check_strong_conditions(a, b, c, d).all_hold:
+            raise InternalInvariantError("the strong solve's c fails the strong premise")
+        return Quadruple(a, b, c, d)
     raise GenerationExhaustedError(
         f"no solvable (a, d, b) for the strong premise in {MAX_ATTEMPTS} attempts"
     )
 
 
-def _solve_strong_for_c(a: Matrix, b: Matrix, d: Matrix) -> Matrix:
-    """The candidate solution c of a c d = d b d and a c a = d b a.
+def _solve_strong_for_c(a: Matrix, b: Matrix, d: Matrix) -> Matrix | None:
+    """One solution c of a c d = d b d and a c a = d b a, or None if none.
 
-    Both equations together read a c N = d b N with N = [d | a]; flattened
-    row-major, c's coefficient matrix is a (x) N^T up to the order of its
-    rows. The RREF of a Kronecker product is the Kronecker product of the
-    two RREFs with the zero rows dropped, so the solution `solve` would read
-    off that n^2-unknown system (every free variable 0) is
-    G_a (d b N) G_{N^T}^T, with G the {1}-inverses that `one_inverse` reads
-    off rref([X | I]); it solves the system exactly when the system is
-    consistent, so the caller tests the premise on it.
-
-    N G_{N^T}^T is R^T with R = G_{N^T} N^T, and R needs no {1}-inverse:
-    the right block E of rref([N^T | I]) has E N^T = rref(N^T), so R is
-    rref(N^T) with row r placed at its pivot column, one 2n x n
-    elimination. Hence c = G_a (d b) R^T; R = I when rank N = n. The
-    {1}-inverse identity N^T G N^T = N^T is checked as N^T R = N^T.
+    Both equations read a c N = d b N with N = [d | a]. R = G N^T, G a
+    {1}-inverse of N^T, has R^T N = N and R^T = N G^T, so a c N = d b N
+    has a solution exactly when a c = d b R^T has: one `solve` (free
+    variables 0), whose c is also the Kronecker system's a (x) N^T one.
+    R needs no {1}-inverse: the right block E of rref([N^T | I]) has
+    E N^T = rref(N^T), so R is rref(N^T) with row r placed at its pivot
+    column, one 2n x n elimination (R = I when rank N = n). N^T R = N^T
+    is checked.
     """
     ends_t = d.hstack(a).T
     reduced, _, pivots = rref(ends_t)
     r = _place_rows(reduced, pivots, ends_t.cols, 0)
     if ends_t * r != ends_t:
         raise InternalInvariantError("the strong solve's R failed N^T R = N^T")
-    return one_inverse(a) * (d * b) * r.T
+    return solve(a, d * b * r.T)
 
 
 def _gen_triple_lift(n: int, rng: random.Random) -> Quadruple:

@@ -260,14 +260,15 @@ def test_drazin_matches_oracle_property(a):
 
 
 def test_drazin_reuses_the_index_power(monkeypatch):
-    # the 4x4 shift has index 4: index_of forms a^2..a^5, the {1}-inverse
-    # route 2 + 2 + 2 products, a A^D one, the self-check three (one per
-    # defining equation); a^4 is the power the rank sequence already formed
+    # the 4x4 shift has index 4: index_of forms a^2..a^5, the solve two
+    # (A^(2l+1) = a^l a^l a) plus one (a^l Y), a A^D one, the self-check
+    # three (one per defining equation); a^4 is the power the rank
+    # sequence already formed
     shift = as_matrix([[int(j == i + 1) for j in range(4)] for i in range(4)])
     products = record_calls(monkeypatch, Matrix, "__mul__")
     data = drazin(shift)
     assert data.index == 4 and data.dinv.is_zero()
-    assert len(products) == 14
+    assert len(products) == 11
 
 
 @pytest.mark.parametrize(

@@ -142,10 +142,10 @@ def strong_operands(draw, n):
 
 
 def test_factored_strong_solve_matches_kronecker_solve():
-    """The strong premise holds on the factored solve's c exactly when one
-    `solve` on the Kronecker system finds a solution, and then c is that
-    solution; both outcomes occur among the draws, and so do
-    rank [d | a] = n (R = I) and rank [d | a] < n (R != I)."""
+    """The factored solve finds a c exactly when one `solve` on the
+    Kronecker system finds a solution, and then c is that solution and
+    holds the strong premise; both outcomes occur among the draws, and so
+    do rank [d | a] = n (R = I) and rank [d | a] < n (R != I)."""
     outcomes, deficient = set(), set()
 
     @settings(max_examples=60, deadline=None)
@@ -155,9 +155,10 @@ def test_factored_strong_solve_matches_kronecker_solve():
         a, b, d = (data.draw(strong_operands(n)) for _ in range(3))
         c = _solve_strong_for_c(a, b, d)
         reference = strong_c_reference(a, b, d)
-        assert check_strong_conditions(a, b, c, d).all_hold == (reference is not None)
+        assert (c is not None) == (reference is not None)
         if reference is not None:
             assert c == reference
+            assert check_strong_conditions(a, b, c, d).all_hold
         outcomes.add(reference is None)
         deficient.add(rank(d.hstack(a)) < n)
 
@@ -190,6 +191,33 @@ def test_strong_solve_eliminates_n_by_2n_and_2n_by_n(monkeypatch, n):
     calls = record_calls(monkeypatch, "drazinlab.matrices", "rref")
     _solve_strong_for_c(a, b, d)
     assert sorted((m.rows, m.cols) for (m,) in calls) == sorted([(n, 2 * n), (2 * n, n)])
+
+
+def test_strong_premise_is_checked_only_on_solved_draws(monkeypatch):
+    """A draw whose system has no c is rejected before any premise product;
+    the first c that `solve` finds is checked and kept."""
+    solve = generators._solve_strong_for_c
+    solved = []
+
+    def solving(a, b, d):
+        solved.append(solve(a, b, d))
+        return solved[-1]
+
+    monkeypatch.setattr(generators, "_solve_strong_for_c", solving)
+    checked = record_calls(monkeypatch, generators, "check_strong_conditions")
+    quads = gen_family(GeneratorSpec("strong", 3, seed=0, count=5))
+    assert None in solved
+    found = [c for c in solved if c is not None]
+    assert [c for _, _, c, _ in checked] == found == [q.c for q in quads]
+
+
+def test_solved_c_failing_the_premise_is_a_generator_bug(monkeypatch):
+    q = counterexample_instance()
+    failing = check_strong_conditions(q.a, q.b, q.c, q.d)
+    assert not failing.all_hold
+    monkeypatch.setattr(generators, "check_strong_conditions", lambda *args: failing)
+    with pytest.raises(InternalInvariantError, match="fails the strong premise"):
+        gen_family(GeneratorSpec("strong", 3, seed=0, count=1))
 
 
 def test_strong_solve_checks_r(monkeypatch):

@@ -238,6 +238,16 @@ def test_matrices_are_hashable_values():
     assert len({a, b}) == 1
 
 
+def test_matrix_is_immutable_and_only_meets_matrices():
+    m = as_matrix([[1, 2], [3, 4]])
+    with pytest.raises(AttributeError, match="Matrix is immutable"):
+        m.den = 2
+    for op in (lambda: m + 1, lambda: m - 1):
+        with pytest.raises(TypeError):
+            op()
+    assert (m == 1) is False and (m != 1) is True
+
+
 def test_repr_round_trips_and_str_aligns_columns():
     m = as_matrix([[Fraction(1, 2), GaussianRational(0, 1)], [3, GaussianRational(-1, 2)]])
     names = {"Matrix": Matrix, "GaussianRational": GaussianRational, "Fraction": Fraction}

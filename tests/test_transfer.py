@@ -1,4 +1,6 @@
 import random
+import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -8,6 +10,7 @@ from drazinlab import (
     ConditionsViolatedError,
     GaussianRational,
     IdentityFalsifiedError,
+    InternalInvariantError,
     Matrix,
     NoGroupInverseError,
     Quadruple,
@@ -318,6 +321,19 @@ def test_transfer_group_refusal_runs_drazin_once(monkeypatch):
     assert calls == [Matrix.identity(5) - q.b * q.d]
 
 
+def test_transfer_group_disagrees_when_beta_has_no_group_inverse(monkeypatch):
+    """alpha's index 0 admits the instance; a beta of index 2 has no group
+    inverse, so the outcome does not agree."""
+    evaluate = transfer_module._evaluate_transfer
+
+    def beta_of_index_two(q, alpha_data):
+        return replace(evaluate(q, alpha_data), beta_index=2)
+
+    monkeypatch.setattr(transfer_module, "_evaluate_transfer", beta_of_index_two)
+    out = transfer_group(counterexample_instance())
+    assert (out.alpha_index, out.beta_index, out.agrees) == (0, 2, False)
+
+
 def test_transfer_drazin_forms_ac_and_bd_once(monkeypatch):
     (generated,) = gen_family(GeneratorSpec("strong", 4, seed=1, count=1))
     # a new object, as a quadruple decoded from JSON is
@@ -563,6 +579,24 @@ def test_power_rejects():
         power_instance(counterexample_instance(), transfer_module.MAX_POWER + 1)
     with pytest.raises(ConditionsViolatedError):
         power_instance(GENERIC, 2)
+
+
+@pytest.mark.parametrize(
+    "name, fake, message",
+    [
+        # c' + I breaks 1 - a c' = beta^2, b' + I breaks 1 - b' d = alpha^2
+        ("Quadruple", lambda a, b, c, d: Quadruple(a, b, c + Matrix.identity(2), d), "1 - a c'"),
+        ("Quadruple", lambda a, b, c, d: Quadruple(a, b + Matrix.identity(2), c, d), "1 - b' d"),
+        ("check_conditions", lambda q, report=GENERIC.conditions: report, "lost the side conditions"),
+    ],
+    ids=["beta power", "alpha power", "conditions"],
+)
+def test_power_instance_self_check_raises(monkeypatch, name, fake, message):
+    q = counterexample_instance()
+    assert q.conditions.all_hold  # memoized before the patch
+    monkeypatch.setattr(transfer_module, name, fake)
+    with pytest.raises(InternalInvariantError, match=re.escape(message)):
+        power_instance(q, 2)
 
 
 @settings(max_examples=25, deadline=None)

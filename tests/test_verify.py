@@ -2,6 +2,8 @@ import importlib
 import sys
 from dataclasses import replace
 
+import pytest
+
 from drazinlab import InternalInvariantError, Matrix, Quadruple
 from drazinlab import transfer as transfer_module
 from drazinlab import verify as verify_module
@@ -79,13 +81,31 @@ def _raise_invariant(*args):
     raise InternalInvariantError("injected kernel fault")
 
 
-def test_drazin_self_check_failure_becomes_record(monkeypatch):
-    monkeypatch.setattr(drazin_module, "_verify_drazin", _raise_invariant)
+def _disagreeing_transfer(q, alpha_data, evaluate=transfer_module._evaluate_transfer):
+    return replace(evaluate(q, alpha_data), agrees=False)
+
+
+@pytest.mark.parametrize(
+    "module, name, fake, prop, detail",
+    [
+        (drazin_module, "_verify_drazin", _raise_invariant, "transfer evaluation", "injected kernel fault"),
+        (
+            transfer_module,
+            "_evaluate_transfer",
+            _disagreeing_transfer,
+            "transfer agreement",
+            "formula and direct Drazin inverse differ",
+        ),
+        (verify_module, "power_instance", _raise_invariant, "power construction", "n=2: injected kernel fault"),
+    ],
+    ids=["drazin self-check", "transfer agreement", "power construction"],
+)
+def test_stage_failure_becomes_record(monkeypatch, module, name, fake, prop, detail):
+    monkeypatch.setattr(module, name, fake)
     report = run_battery([counterexample_instance()])
     assert report.total == 1 and report.passed == 0
     (failure,) = report.failures
-    assert failure.prop == "transfer evaluation"
-    assert "injected kernel fault" in failure.detail
+    assert (failure.prop, failure.detail) == (prop, detail)
 
 
 def test_commutant_self_check_failure_becomes_record(monkeypatch):

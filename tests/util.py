@@ -300,16 +300,17 @@ def _rand_upper(rng: random.Random, n: int) -> Matrix:
 
 def strong_reference(n: int, rng: random.Random) -> Quadruple | None:
     """One `strong` quadruple from the generator's draws of a, d and b, with
-    c from the factored solve and a draw kept when a c N = d b N for
-    N = [d | a], both sides formed literally: the reference for the premise
-    test of `generators._gen_strong`. None when no draw is kept."""
+    c from the factored solve and a draw kept when it found a c and
+    a c N = d b N for N = [d | a], both sides formed literally: the
+    reference for the premise test of `generators._gen_strong`. None when
+    no draw is kept."""
     for _ in range(MAX_ATTEMPTS):
         a = _rand_upper(rng, n)
         d = _rand_upper(rng, n)
         b = rand_int_matrix(rng, n, n, -2, 2)
         c = _solve_strong_for_c(a, b, d)
         ends = d.hstack(a)
-        if a * c * ends == d * b * ends:
+        if c is not None and a * c * ends == d * b * ends:
             return Quadruple(a, b, c, d)
     return None
 
