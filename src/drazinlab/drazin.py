@@ -3,7 +3,10 @@
 Two independent exact algorithms are provided on purpose: `drazin` reads
 A^D off one solve with a high power, `oracle_drazin` goes through the
 core-nilpotent splitting. They must agree entrywise on every input; a
-disagreement is a kernel bug, never a property of the input.
+disagreement is a kernel bug, never a property of the input. Both find the
+index by the rank sequence of the powers, which reads only pivots and so
+eliminates each power forward only (`pivot_columns`); `oracle_drazin` then
+reduces a^l once for its kernel.
 
 A Drazin inverse lies in the double commutant of its matrix (Drazin 1958,
 Amer. Math. Monthly 65). `commutant_basis` returns the null-space basis
@@ -14,7 +17,7 @@ The cached basis also keeps its stacked grids as n^2 columns, so that
 `random_commutant_element` forms a sample as one dot product per entry,
 and checks that it commutes by comparing the raw product grids.
 `in_double_commutant` tests the double commutant as the polynomial
-algebra of the matrix.
+algebra of the matrix, by the pivot columns of one forward elimination.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from operator import mul
 from .errors import InternalInvariantError, NoGroupInverseError, ShapeError, SingularMatrixError
 from .matrices import (
     Matrix,
-    RrefResult,
     _bilinear,
     _gather,
     _gmul,
@@ -36,6 +38,7 @@ from .matrices import (
     _null_rows,
     _read_off,
     inverse,
+    pivot_columns,
     rref,
 )
 
@@ -54,19 +57,18 @@ def _require_square(a: Matrix, what: str) -> None:
         raise ShapeError(f"{what} requires a square matrix, got {a.rows}x{a.cols}")
 
 
-def _index_and_power(a: Matrix) -> tuple[int, Matrix, RrefResult | None]:
-    """(index l, a^l, rref(a^l)): the power and its reduced form are the
-    ones the rank sequence has formed; the reduced form is None at l = 0,
-    since a^0 = I is never eliminated."""
+def _index_and_power(a: Matrix) -> tuple[int, Matrix]:
+    """(index l, a^l), a^l the power the rank sequence has formed. Only the
+    ranks are read, so each power is eliminated forward only."""
     _require_square(a, "index")
-    prev_rank, prev_power, prev_reduced = a.rows, Matrix.identity(a.rows), None  # a^0 = I
+    prev_rank, prev_power = a.rows, Matrix.identity(a.rows)  # a^0 = I
     power = a
     k = 0
     while True:
-        reduced = rref(power)
-        if reduced.rank == prev_rank:
-            return k, prev_power, prev_reduced
-        prev_rank, prev_power, prev_reduced = reduced.rank, power, reduced
+        r = len(pivot_columns(power))
+        if r == prev_rank:
+            return k, prev_power
+        prev_rank, prev_power = r, power
         power = power * a
         k += 1
 
@@ -110,7 +112,7 @@ def drazin(a: Matrix) -> DrazinData:
     a^l (a x) = A^(2l+1) Y = a^l, fails exactly when Y is no solution.
     """
     _require_square(a, "Drazin inverse")
-    l, al, _ = _index_and_power(a)
+    l, al = _index_and_power(a)
     dinv = al * _read_off(al * al * a, al)[0]
     ax = a * dinv
     _verify_drazin(a, dinv, ax, al)
@@ -133,15 +135,17 @@ def oracle_drazin(a: Matrix) -> DrazinData:
     of its null space are glued into a change of basis P; then P^-1 a P is
     block diagonal with an invertible core C and a nilpotent tail N, and
     A^D = P diag(C^-1, 0) P^-1 = P[:, :r] C^-1 P^-1[:r, :], r = rank(a^k).
-    Each matrix is eliminated once: a^k by the rank sequence, whose reduced
-    form gives its rank, pivot columns and kernel, and P for its inverse,
-    whose failure means the two spaces do not complement.
+    The rank sequence eliminates each power forward only; a^k is then
+    reduced once, for its rank, pivot columns and kernel, and P is
+    eliminated once, for its inverse, whose failure means the two spaces do
+    not complement.
     """
     _require_square(a, "Drazin inverse")
     n = a.rows
-    k, ak, reduced = _index_and_power(a)
+    k, ak = _index_and_power(a)
     if k == 0:
         return DrazinData(inverse(a), 0, Matrix.zeros(n, n))
+    reduced = rref(ak)
     _, r, pivots = reduced
     # k >= 1 forces r < n: the kernel and the nilpotent tail are never empty
     kernel = _null_rows(reduced).T
@@ -263,4 +267,4 @@ def in_double_commutant(a: Matrix, y: Matrix) -> bool:
         raise ShapeError(f"double commutant of a {n}x{n} matrix needs a {n}x{n} y")
     columns = _numerator_powers(a) + [Matrix._make(1, y.re, y.im)]
     stacked = _gather(columns, lambda g: tuple(zip(*map(chain.from_iterable, g))))
-    return n not in rref(stacked).pivot_cols
+    return n not in pivot_columns(stacked)

@@ -14,36 +14,45 @@ with a zero or identity factor returns the canonical result, the zero
 matrix or the other factor, without multiplying: on generated instances
 the transfer's defect ac - db and spectral idempotent are usually zero.
 
-Elimination is fraction-free Gauss-Jordan (Bareiss 1968, Math. Comp. 22):
-each step divides exactly by the previous pivot, so every intermediate
-value is an integer (a Gaussian integer when an imaginary part is present)
-that is a minor of the input, and the reduced row echelon form is read off
-at the end by one division by the last pivot. One loop, `_eliminate`, does
-the pivoting for both rings; only its row step differs: `_z_step` on rows
-of ints, `_zi_step` on rows of (re, im) pairs. The reduced row echelon form
-of a matrix is unique, so it, and everything read off it (inverse, solve,
-null-space basis, {1}-inverse), is the same exact value whatever route the
-elimination takes. `inverse`, `solve` and `one_inverse` all read their
-answer off rref([a | b]) through `_read_off`.
+Elimination is fraction-free (Bareiss 1968, Math. Comp. 22): each step
+divides exactly by the previous pivot, so every intermediate value is an
+integer (a Gaussian integer when an imaginary part is present) that is a
+minor of the input. One loop, `_eliminate`, does the pivoting for both
+rings; only its row step differs: `_z_step` on rows of ints, `_zi_step` on
+rows of (re, im) pairs. It either sweeps each pivot's column out of every
+other row (Gauss-Jordan), and `rref` reads the reduced row echelon form off
+by one division by the last pivot, or only out of the rows below the pivot
+(forward elimination), and `pivot_columns` returns the pivot columns
+alone, with about half the row steps and no matrix built. The rows below a
+pivot get the same steps either way, so both find the same pivots; `rank`
+and the other readers of pivots alone use the forward pass. The reduced row
+echelon form of a matrix is unique, so it, and everything read off it
+(inverse, solve, null-space basis, {1}-inverse), is the same exact value
+whatever route the elimination takes. `inverse`, `solve` and `one_inverse`
+all read their answer off rref([a | b]) through `_read_off`.
 
-The two inner loops, the grid product `_gmul` and the row step over Z,
-run as straight-line kernels generated on first use, one per shape. A
-product kernel for (rows, inner, cols) unpacks both grids into locals and
-writes each entry out as x0_0 * y0_0 + x0_1 * y1_0 + ..., the same integer
-sum the loop forms; a row-step kernel for one width writes out both
-branches of `_z_step`. This removes the interpreter's per-entry overhead
-(the loop builds a generator frame per product entry), not arithmetic:
-every value, and the number of products and eliminations, is the loops'.
-`rref` picks its step once per elimination through `_z_step_for`. A kernel
-is compiled with `exec`, as `dataclasses` builds its methods, from source
-text made of the shape's integers alone, never of entries or other input,
-and kept in a bounded `lru_cache`. Only shapes within `MAX_SIZE`, the
-largest input side, get one: product dimensions up to twice it ([a | b])
-and row widths up to its square (the n^2-column commutation system).
-Larger shapes run the loops. The bound caps compile time and memory (a
-16x16x16 product kernel compiles in about 80 ms and keeps about 230 kB),
-and keeps clear of CPython's compiler, which raises RecursionError on a
-`+` chain a few thousand terms long.
+The per-entry grid loops run as straight-line kernels generated on first
+use, one per shape: the product `_gmul`, the entrywise `x + y` and `x - y`
+of `_gadd` and `_gsub`, the scalar `x * k` and `x // k` of `_gscale` and of
+`_gdiv` (the exact division by the gcd in `_make`), and the row step over
+Z. A product kernel for (rows, inner, cols) unpacks both grids into locals
+and writes each entry out as x0_0 * y0_0 + x0_1 * y1_0 + ..., the same
+integer sum the loop forms; an entrywise or scalar kernel writes each entry
+out as x0_0 + y0_0 or x0_0 * k; a row-step kernel for one width writes out
+both branches of `_z_step`. This removes the interpreter's per-entry
+overhead (the loop builds a generator frame per row or entry), not
+arithmetic: every value, and the number of products and eliminations, is
+the loops'. `_eliminate_matrix` picks its row step once per elimination
+through `_z_step_for`. A kernel is compiled with `exec`, as `dataclasses`
+builds its methods, from source text made of the shape's integers and a
+fixed operator token alone, never of entries or other input, and kept in
+a bounded `lru_cache`. Only shapes within `MAX_SIZE`, the largest input
+side, get one: grid dimensions up to twice it ([a | b]) and row widths up
+to its square (the n^2-column commutation system). Larger shapes run the
+loops. The bound caps compile time and memory (a 16x16x16 product kernel
+compiles in about 80 ms and keeps about 230 kB), and keeps clear of
+CPython's compiler, which raises RecursionError on a `+` chain a few
+thousand terms long.
 
 `GaussianRational` is the scalar only at the API boundary: the constructor,
 `entry`, `to_rows` and `scale`'s argument. It has no arithmetic of its own,
@@ -122,6 +131,26 @@ def _product_kernel(n, k, m):
     return _kernel("product", "x, y", body)
 
 
+@lru_cache(maxsize=256)
+def _entrywise_kernel(op, rows, cols):
+    """Straight-line `x op y` for two rows x cols integer grids, op "+" or
+    "-": entry (i, j) is x{i}_{j} op y{i}_{j}."""
+    xs = [[f"x{i}_{j}" for j in range(cols)] for i in range(rows)]
+    ys = [[f"y{i}_{j}" for j in range(cols)] for i in range(rows)]
+    entries = [[f"{x} {op} {y}" for x, y in zip(xr, yr)] for xr, yr in zip(xs, ys)]
+    body = [f"{_unpack(xs)}= x", f"{_unpack(ys)}= y", f"return ({_unpack(entries)})"]
+    return _kernel("entrywise", "x, y", body)
+
+
+@lru_cache(maxsize=256)
+def _scalar_kernel(op, rows, cols):
+    """Straight-line `x op k` for a rows x cols integer grid and an int k,
+    op "*" or "//": entry (i, j) is x{i}_{j} op k."""
+    xs = [[f"x{i}_{j}" for j in range(cols)] for i in range(rows)]
+    entries = [[f"{x} {op} k" for x in row] for row in xs]
+    return _kernel("scalar", "x, k", [f"{_unpack(xs)}= x", f"return ({_unpack(entries)})"])
+
+
 @lru_cache(maxsize=MAX_SIZE**2)
 def _z_step_kernel(width):
     """Straight-line `_z_step` for rows of `width` ints."""
@@ -146,15 +175,32 @@ def _gmul(x, y):
 
 
 def _gadd(x, y):
+    n, m = len(x), len(x[0])
+    if n <= 2 * MAX_SIZE and m <= 2 * MAX_SIZE:
+        return _entrywise_kernel("+", n, m)(x, y)
     return tuple(tuple(map(add, r, s)) for r, s in zip(x, y))
 
 
 def _gsub(x, y):
+    n, m = len(x), len(x[0])
+    if n <= 2 * MAX_SIZE and m <= 2 * MAX_SIZE:
+        return _entrywise_kernel("-", n, m)(x, y)
     return tuple(tuple(map(sub, r, s)) for r, s in zip(x, y))
 
 
 def _gscale(x, k):
-    return tuple(tuple(k * v for v in row) for row in x)
+    n, m = len(x), len(x[0])
+    if n <= 2 * MAX_SIZE and m <= 2 * MAX_SIZE:
+        return _scalar_kernel("*", n, m)(x, k)
+    return tuple(tuple(v * k for v in row) for row in x)
+
+
+def _gdiv(x, k):
+    """x // k entrywise; `_make` divides exactly, by the gcd."""
+    n, m = len(x), len(x[0])
+    if n <= 2 * MAX_SIZE and m <= 2 * MAX_SIZE:
+        return _scalar_kernel("//", n, m)(x, k)
+    return tuple(tuple(v // k for v in row) for row in x)
 
 
 def _grid(flat, cols):
@@ -244,9 +290,9 @@ class Matrix:
                 g = -g
             if g != 1:
                 den //= g
-                re = tuple(tuple(v // g for v in row) for row in re)
+                re = _gdiv(re, g)
                 if im is not None:
-                    im = tuple(tuple(v // g for v in row) for row in im)
+                    im = _gdiv(im, g)
         m = object.__new__(cls)
         _set_rows(m, len(re))
         _set_cols(m, len(re[0]))
@@ -441,18 +487,22 @@ class RrefResult(NamedTuple):
     pivot_cols: tuple[int, ...]
 
 
-def _eliminate(work: list[list], ncols: int, is_pivot, step, one):
-    """Fraction-free Gauss-Jordan, in place on the rows of `work`.
+def _eliminate(work: list[list], ncols: int, is_pivot, step, one, reduce: bool):
+    """Fraction-free elimination, in place on the rows of `work`.
 
     The one elimination loop: it finds each pivot, swaps it up and sweeps
-    its column out of every other row with step(row, prow, piv, f, prev),
-    which returns (piv row - f prow) / prev, exact by Bareiss's argument;
-    rows with f = 0 and piv = prev are left as they are. `is_pivot` tests
-    an entry for nonzero and `one` is the initial "previous pivot".
-    Returns the last pivot D and the pivot columns. Afterwards every pivot
-    row holds D at its pivot column and zeros at the other pivot columns,
-    the rows below the rank are zero, and work / D is the reduced row
-    echelon form.
+    its column out of every other row (`reduce`, Gauss-Jordan) or only out
+    of the rows below it (forward Bareiss), with step(row, prow, piv, f,
+    prev), which returns (piv row - f prow) / prev, exact by Bareiss's
+    argument; rows with f = 0 and piv = prev are left as they are.
+    `is_pivot` tests an entry for nonzero and `one` is the initial
+    "previous pivot". Returns the last pivot D and the pivot columns.
+
+    The rows below a pivot get the same steps either way, and the pivots
+    are found among them alone, so both sweeps find the same pivots. After
+    the full sweep every pivot row holds D at its pivot column and zeros at
+    the other pivot columns, the rows below the rank are zero, and work / D
+    is the reduced row echelon form.
     """
     nrows = len(work)
     pivots: list[int] = []
@@ -465,7 +515,7 @@ def _eliminate(work: list[list], ncols: int, is_pivot, step, one):
         work[r], work[p] = work[p], work[r]
         prow = work[r]
         piv = prow[c]
-        for i in range(nrows):
+        for i in range(0 if reduce else r + 1, nrows):
             if i != r:
                 f = work[i][c]
                 if is_pivot(f) or piv != prev:
@@ -510,20 +560,24 @@ def _zi_step(row, prow, piv, f, prev):
     return [((a * qr + b * qi) // norm, (b * qr - a * qi) // norm) for a, b in t]
 
 
-def rref(a: Matrix) -> RrefResult:
-    """Reduced row echelon form, by fraction-free Gauss-Jordan elimination.
-
-    One loop, `_eliminate`, with the row step of Z for a real matrix and
-    of Z[i] otherwise. The denominator of `a` does not change its row
-    space, so only its integer grids are eliminated.
-    """
+def _eliminate_matrix(a: Matrix, reduce: bool):
+    """`_eliminate` on the integer grids of `a`, with the row step of Z for
+    a real matrix and of Z[i] otherwise: (work, last pivot, pivot columns).
+    The denominator of `a` does not change its row space."""
     if a.im is None:
         work = [list(row) for row in a.re]
-        d, pivots = _eliminate(work, a.cols, bool, _z_step_for(a.cols), 1)
+        return work, *_eliminate(work, a.cols, bool, _z_step_for(a.cols), 1, reduce)
+    work = [list(zip(u, v)) for u, v in zip(a.re, a.im)]
+    return work, *_eliminate(work, a.cols, any, _zi_step, (1, 0), reduce)
+
+
+def rref(a: Matrix) -> RrefResult:
+    """Reduced row echelon form, by fraction-free Gauss-Jordan elimination."""
+    work, d, pivots = _eliminate_matrix(a, reduce=True)
+    if a.im is None:
         reduced = Matrix._make(d, tuple(map(tuple, work)), None)
     else:
-        work = [list(zip(u, v)) for u, v in zip(a.re, a.im)]
-        (dr, di), pivots = _eliminate(work, a.cols, any, _zi_step, (1, 0))
+        dr, di = d
         # work / d = work conj(d) / |d|^2
         re = tuple(tuple(x * dr + y * di for x, y in row) for row in work)
         im = tuple(tuple(y * dr - x * di for x, y in row) for row in work)
@@ -531,8 +585,14 @@ def rref(a: Matrix) -> RrefResult:
     return RrefResult(reduced, len(pivots), tuple(pivots))
 
 
+def pivot_columns(a: Matrix) -> tuple[int, ...]:
+    """The pivot columns of rref(a), found by forward elimination alone:
+    no row above a pivot is swept and no matrix is built."""
+    return tuple(_eliminate_matrix(a, reduce=False)[2])
+
+
 def rank(a: Matrix) -> int:
-    return rref(a).rank
+    return len(pivot_columns(a))
 
 
 def inverse(a: Matrix) -> Matrix:

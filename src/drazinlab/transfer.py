@@ -343,9 +343,9 @@ def power_instance(q: Quadruple, n: int) -> Quadruple:
     """
     if not 1 <= n <= MAX_POWER:
         raise ValueError(f"power construction needs 1 <= n <= {MAX_POWER}")
-    bits = max(
-        v.bit_length() for m in (q.a, q.b, q.c, q.d) for v in chain((m.den,), *m.re, *(m.im or ()))
-    )
+    # bit length grows with |v|, so the longest entry is the largest in size
+    entries = (chain((m.den,), *m.re, *(m.im or ())) for m in (q.a, q.b, q.c, q.d))
+    bits = max(map(abs, chain.from_iterable(entries))).bit_length()
     if n * bits > MAX_POWER_BITS:
         raise ValueError(f"power construction needs n * {bits} entry bits <= {MAX_POWER_BITS}")
     _require_conditions(q)

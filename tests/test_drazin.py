@@ -296,12 +296,15 @@ def test_oracle_eliminates_the_power_and_the_basis_change_once(monkeypatch):
     a2 = a * a
     a3 = a2 * a
     rrefs = record_calls(monkeypatch, "drazinlab.matrices", "rref")
+    forward = record_calls(monkeypatch, "drazinlab.matrices", "pivot_columns")
     ranks = record_calls(monkeypatch, "drazinlab.matrices", "rank")
     inverses = record_calls(monkeypatch, "drazinlab.matrices", "inverse")
     data = oracle_drazin(a)
     assert data.index == 2
-    assert rrefs[:3] == [(a,), (a2,), (a3,)] and ranks == []  # the rank sequence
-    assert rrefs.count((a2,)) == 1  # the splitting reads rref(a^2) from it
+    # the rank sequence stops at echelon form; only the splitting reduces a^2
+    assert forward == [(a,), (a2,), (a3,)] and ranks == []
+    assert rrefs[0] == (a2,) and rrefs.count((a2,)) == 1
+    assert len(rrefs) == 3  # a^2, then [P | I] and [core | I] for the inverses
     assert [m.rows for (m,) in inverses] == [3, 1]  # P once, then the 1x1 core
 
 

@@ -180,16 +180,18 @@ def test_jacobson_inverse_random_invertible_pairs():
 
 
 def test_jacobson_inverse_eliminates_alpha_once(monkeypatch):
-    eliminated = record_calls(monkeypatch, "drazinlab.matrices", "rref")
+    reduced = record_calls(monkeypatch, "drazinlab.matrices", "rref")
+    forward = record_calls(monkeypatch, "drazinlab.matrices", "pivot_columns")
     a = as_matrix([[0, 1], [0, 0]])
     b = as_matrix([[0, 0], [2, 0]])
     jacobson_inverse(a, b)
-    assert len(eliminated) == 1  # inverse(1 - ab), with no rank check first
-    eliminated.clear()
+    assert len(reduced) == 1 and forward == []  # inverse(1 - ab), with no rank check first
+    reduced.clear()
     eye = Matrix.identity(2)
     with pytest.raises(SingularMatrixError):
         jacobson_inverse(eye, eye)
-    assert len(eliminated) == 2  # then rank(1 - ba) on the singular branch
+    # then rank(1 - ba) on the singular branch, which stops at echelon form
+    assert len(reduced) == 1 and forward == [(Matrix.zeros(2, 2),)]
 
 
 def test_jacobson_inverse_shape_guard():
