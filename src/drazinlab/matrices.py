@@ -12,14 +12,25 @@ list arithmetic followed by one gcd normalisation, which is skipped when
 the denominator is 1 (generated instances are integer matrices). A product
 with a zero or identity factor returns the canonical result, the zero
 matrix or the other factor, without multiplying: on generated instances
-the transfer's defect ac - db and spectral idempotent are usually zero.
+the transfer's spectral idempotent is usually zero. `*` tests for both on
+the slots, inline, not through `is_zero` and `is_identity`.
+
+Real matrices, the common case, take a direct path: a product of two real
+matrices is `_make` of `_gmul` of their grids, and a sum or difference of
+two real matrices over one denominator is `_make` of `_gadd` or `_gsub`.
+`_bilinear` (the Gaussian product, from four real ones) runs only when a
+factor has an imaginary grid, and `_gather` (operands brought over their
+lcm denominator, a missing imaginary grid padded with zeros) only for a
+sum or difference with an imaginary grid or two denominators, and for
+`hstack` and `block_diag`. Both routes give the same canonical matrix.
 
 Elimination is fraction-free (Bareiss 1968, Math. Comp. 22): each step
 divides exactly by the previous pivot, so every intermediate value is an
 integer (a Gaussian integer when an imaginary part is present) that is a
 minor of the input. One loop, `_eliminate`, does the pivoting for both
 rings; only its row step differs: `_z_step` on rows of ints, `_zi_step` on
-rows of (re, im) pairs. It either sweeps each pivot's column out of every
+rows of (re, im) pairs. It finds each pivot with a plain loop over the
+rows, no generator per column, and either sweeps its column out of every
 other row (Gauss-Jordan), and `rref` reads the reduced row echelon form off
 by one division by the last pivot, or only out of the rows below the pivot
 (forward elimination), and `pivot_columns` returns the pivot columns
@@ -368,12 +379,16 @@ class Matrix:
         if not isinstance(other, Matrix):
             return NotImplemented
         self._require_same_shape(other)
+        if self.im is None and other.im is None and self.den == other.den:
+            return Matrix._make(self.den, _gadd(self.re, other.re), None)
         return _gather((self, other), lambda g: _gadd(*g))
 
     def __sub__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         self._require_same_shape(other)
+        if self.im is None and other.im is None and self.den == other.den:
+            return Matrix._make(self.den, _gsub(self.re, other.re), None)
         return _gather((self, other), lambda g: _gsub(*g))
 
     def __neg__(self):
@@ -391,13 +406,18 @@ class Matrix:
             raise ShapeError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        if self.is_zero() or other.is_zero():
+        # is_zero and is_identity, inline on the slots (a grid equal to
+        # _geye(rows) is square)
+        xre, xim, yre, yim = self.re, self.im, other.re, other.im
+        if xim is None and not any(map(any, xre)) or yim is None and not any(map(any, yre)):
             return Matrix.zeros(self.rows, other.cols)
-        if self.is_identity():
+        if xim is None and self.den == 1 and xre == _geye(self.rows):
             return other
-        if other.is_identity():
+        if yim is None and other.den == 1 and yre == _geye(other.rows):
             return self
-        re, im = _bilinear(_gmul, self.re, self.im, other.re, other.im)
+        if xim is None and yim is None:
+            return Matrix._make(self.den * other.den, _gmul(xre, yre), None)
+        re, im = _bilinear(_gmul, xre, xim, yre, yim)
         return Matrix._make(self.den * other.den, re, im)
 
     def __pow__(self, n: int) -> "Matrix":
@@ -509,8 +529,10 @@ def _eliminate(work: list[list], ncols: int, is_pivot, step, one, reduce: bool):
     prev = one
     r = 0
     for c in range(ncols):
-        p = next((i for i in range(r, nrows) if is_pivot(work[i][c])), None)
-        if p is None:
+        for p in range(r, nrows):
+            if is_pivot(work[p][c]):
+                break
+        else:
             continue
         work[r], work[p] = work[p], work[r]
         prow = work[r]

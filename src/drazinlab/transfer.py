@@ -8,7 +8,8 @@ matrices subject to four intertwining conditions:
 
 All four residuals (left side minus right side) are products of the one
 defect e = ac - db: they are e(ac), -e(db), b e a and c e d, so
-`check_conditions` forms e once. The conditions are strictly weaker than
+`check_conditions` forms e once, and none of the products when e is
+zero. The conditions are strictly weaker than
 the premise acd = dbd, dba = aca of Yan, Zeng and Zhu, whose residuals are
 e d and -e a.
 
@@ -112,32 +113,43 @@ class ConditionReport:
 
     labels: tuple[str, ...]
     residuals: tuple[Matrix, ...]
+    # Whether each residual is zero, and all of them: read by every
+    # transfer, power step and generator self-check, so computed once per
+    # report. They follow from the residuals, so equality ignores them.
+    holds: tuple[bool, ...] = field(init=False, repr=False, compare=False)
+    all_hold: bool = field(init=False, repr=False, compare=False)
 
-    @property
-    def holds(self) -> tuple[bool, ...]:
-        return tuple(r.is_zero() for r in self.residuals)
+    def __post_init__(self):
+        holds = tuple(r.is_zero() for r in self.residuals)
+        object.__setattr__(self, "holds", holds)
+        object.__setattr__(self, "all_hold", all(holds))
 
-    @property
-    def all_hold(self) -> bool:
-        return all(self.holds)
+
+_CONDITION_LABELS = (
+    "(ac)^2 = (db)(ac)",
+    "(db)^2 = (ac)(db)",
+    "b(ac)a = b(db)a",
+    "c(ac)d = c(db)d",
+)
 
 
 def check_conditions(q: Quadruple) -> ConditionReport:
     """Evaluate the four side conditions exactly; residuals are LHS - RHS,
-    formed as products of the one defect e = ac - db."""
+    formed as products of the one defect e = ac - db.
+
+    When e is zero every residual is the zero matrix e, which is returned
+    four times without forming the six products (each would return the
+    zero matrix through the product's zero shortcut). The defect is zero
+    on the classic and triple-lift families, on their power-derived
+    quadruples and on block sums of such blocks.
+    """
     a, b, c, d = q.a, q.b, q.c, q.d
     ac = q.ac
     db = ac if (d, b) == (a, c) else d * b
     e = ac - db
-    return ConditionReport(
-        labels=(
-            "(ac)^2 = (db)(ac)",
-            "(db)^2 = (ac)(db)",
-            "b(ac)a = b(db)a",
-            "c(ac)d = c(db)d",
-        ),
-        residuals=(e * ac, -(e * db), b * e * a, c * e * d),
-    )
+    if e.is_zero():
+        return ConditionReport(_CONDITION_LABELS, (e, e, e, e))
+    return ConditionReport(_CONDITION_LABELS, (e * ac, -(e * db), b * e * a, c * e * d))
 
 
 def check_strong_conditions(a: Matrix, b: Matrix, c: Matrix, d: Matrix) -> ConditionReport:

@@ -26,8 +26,10 @@ from drazinlab import (
 from drazinlab.generators import counterexample_instance
 from drazinlab.matrices import (
     MAX_SIZE,
+    _bilinear,
     _entrywise_kernel,
     _gadd,
+    _gather,
     _gdiv,
     _gmul,
     _gscale,
@@ -43,6 +45,9 @@ from util import (
     ZERO,
     as_matrix,
     assert_matrix_equals,
+    g_add,
+    g_mul,
+    g_sub,
     grids,
     imat_eye,
     imat_mul,
@@ -430,3 +435,64 @@ def test_forward_elimination_finds_the_reduced_pivots(a):
     result = rref(a)
     assert pivot_columns(a) == result.pivot_cols
     assert rank(a) == result.rank
+
+
+# -- the direct real path of *, + and - ----------------------------------------
+
+
+def rand_operand(rng, rows, cols, kind):
+    """A rows x cols matrix of one kind: "zero"; "identity", or a multiple
+    of it by 1/2, 2 or 1 + i (when square, zero otherwise); or entries with
+    denominators from (1, 2, 3, 6), each part zero about a third of the
+    time, "real", "gaussian" or "imaginary" (every real part zero)."""
+    if kind == "zero" or ("identity" in kind and rows != cols):
+        return Matrix.zeros(rows, cols)
+    if kind == "identity":
+        return Matrix.identity(rows)
+    if kind == "scaled_identity":
+        k = rng.choice((Fraction(1, 2), 2, GaussianRational(1, 1)))
+        return Matrix.identity(rows).scale(k)
+    dens = rng.choice(((1,), (2,), (1, 2, 3, 6)))
+
+    def part(live=True):
+        if not live or rng.random() < 0.3:
+            return Fraction(0)
+        return Fraction(rng.randint(-3, 3), rng.choice(dens))
+
+    cells = (
+        GaussianRational(part(kind != "imaginary"), part(kind != "real"))
+        for _ in range(rows * cols)
+    )
+    return Matrix(rows, cols, cells)
+
+
+SIDES = st.one_of(st.integers(1, 4), st.sampled_from((2 * MAX_SIZE, 2 * MAX_SIZE + 1)))
+KINDS = st.sampled_from(
+    ("zero", "identity", "scaled_identity", "real", "real", "gaussian", "imaginary")
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(SIDES, SIDES, SIDES, KINDS, KINDS, KINDS, st.randoms(use_true_random=False))
+def test_direct_real_paths_match_the_general_route_and_fractions(n, k, m, kx, ky, kz, rng):
+    x, y, z = rand_operand(rng, n, k, kx), rand_operand(rng, n, k, ky), rand_operand(rng, k, m, kz)
+    xs, ys, zs = x.to_rows(), y.to_rows(), z.to_rows()
+    general = Matrix._make(x.den * z.den, *_bilinear(_gmul, x.re, x.im, z.re, z.im))
+    assert x * z == general == as_matrix(g_mul(xs, zs))
+    assert x + y == _gather((x, y), lambda g: _gadd(*g)) == as_matrix(g_add(xs, ys))
+    assert x - y == _gather((x, y), lambda g: _gsub(*g)) == as_matrix(g_sub(xs, ys))
+
+
+def test_real_operands_skip_the_general_route(monkeypatch):
+    rng = random.Random(61)
+    x, y = rand_int_matrix(rng, 3), rand_int_matrix(rng, 3)
+    half, three_halves = y.scale(Fraction(1, 2)), y.scale(Fraction(3, 2))
+    gaussian = rand_gauss_matrix(rng, 3, 3)
+    assert (half.den, half.im) == (2, None) and gaussian.im is not None
+    bilinear = record_calls(monkeypatch, "drazinlab.matrices", "_bilinear")
+    gathered = record_calls(monkeypatch, "drazinlab.matrices", "_gather")
+    x * y, x * half, x + y, x - y
+    assert half + half == y and three_halves - half == y
+    assert bilinear == gathered == []
+    x * gaussian, x + half, x - gaussian
+    assert len(bilinear) == 1 and len(gathered) == 2

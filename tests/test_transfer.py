@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from drazinlab import (
+    ConditionReport,
     ConditionsViolatedError,
     GaussianRational,
     IdentityFalsifiedError,
@@ -89,6 +90,18 @@ def test_generic_quadruple_fails_with_frozen_residual():
     expected = imat_sub(imat_mul(ac, ac), imat_mul(db, ac))
     assert report.residuals[0] == as_matrix(expected)
     assert report.holds[0] is False
+
+
+def test_condition_report_tests_its_residuals_once(monkeypatch):
+    residuals = (Matrix.zeros(2, 2), *check_conditions(GENERIC).residuals[1:])
+    tested = record_calls(monkeypatch, Matrix, "is_zero")
+    report = ConditionReport(("w", "x", "y", "z"), residuals)
+    for _ in range(3):
+        assert report.holds == (True, False, False, False) and not report.all_hold
+    assert len(tested) == 4
+    # holds and all_hold follow from the residuals: not compared, not shown
+    assert report == ConditionReport(("w", "x", "y", "z"), residuals)
+    assert repr(report) == f"ConditionReport(labels=('w', 'x', 'y', 'z'), residuals={residuals!r})"
 
 
 def test_condition_symmetry_under_reversal():
@@ -475,13 +488,44 @@ def test_memoized_conditions_of_violating_quadruples_property(data):
 
 
 def test_check_conditions_forms_seven_products(monkeypatch):
-    (generated,) = gen_family(GeneratorSpec("strong", 4, seed=1, count=1))
-    q = Quadruple(generated.a, generated.b, generated.c, generated.d)
-    q.ac  # memoized, as every caller of the check finds it
+    q = counterexample_instance()
+    assert not (q.ac - q.d * q.b).is_zero()  # ac is memoized, as callers find it
     products = record_calls(monkeypatch, Matrix, "__mul__")
     check_conditions(q)
     # d b, then e (ac), e (db), (b e) a and (c e) d; the literal sides took 13
     assert len(products) == 7
+
+
+def test_check_conditions_of_a_zero_defect_forms_only_db(monkeypatch):
+    (q,) = gen_family(GeneratorSpec("strong", 4, seed=1, count=1))
+    q = Quadruple(q.a, q.b, q.c, q.d)
+    (classic,) = gen_family(GeneratorSpec("classic", 4, seed=1, count=1))
+    classic = Quadruple(classic.a, classic.b, classic.c, classic.d)
+    assert (classic.d, classic.b) == (classic.a, classic.c)
+    q.ac, classic.ac  # memoized, as every caller of the check finds it
+    products = record_calls(monkeypatch, Matrix, "__mul__")
+    report = check_conditions(q)
+    # e = ac - db is zero, so it is every residual and no product of it is formed
+    assert products == [(q.d, q.b)]
+    assert report.residuals == (Matrix.zeros(4, 4),) * 4 and report.all_hold
+    products.clear()
+    check_conditions(classic)  # db is ac itself
+    assert products == []
+
+
+def test_zero_defect_residuals_match_the_literal_sides():
+    # the defect is zero on classic and triple-lift quadruples and on the
+    # quadruples power_instance derives from them
+    quads = [
+        q
+        for family in ("classic", "triple_lift")
+        for size in (2, 3, 5)
+        for q in gen_family(GeneratorSpec(family, size, seed=size + 7, count=3))
+    ]
+    quads += [power_instance(q, n) for q in quads for n in (2, 3)]
+    for q in quads:
+        assert (q.ac - q.d * q.b).is_zero()
+        assert q.conditions.residuals == conditions_reference(q.a, q.b, q.c, q.d)[0]
 
 
 def test_power_instance_forms_fewer_products_than_binomial_sums(monkeypatch):
@@ -492,16 +536,20 @@ def test_power_instance_forms_fewer_products_than_binomial_sums(monkeypatch):
     # the binomial construction formed 16, 19 and 23 products here, as the
     # battery calls it: n = 1, 2, 3 in turn on one quadruple. n = 1 is q
     # itself; n >= 2 forms 2 per Horner step, (1-ac)^n and (1-bd)^n, a c',
-    # b' d and the check's 7. n = 3 resumes from n = 2's step: one Horner
-    # step, and (1-ac)^3 = (1-ac)^2 (1-ac) and likewise for 1-bd.
-    for n, count, binomial in ((1, 0, 16), (2, 13, 19), (3, 13, 23)):
+    # b' d and the check's d b': q's defect is zero, and so is the derived
+    # one (a c' = d b'), so the check forms no product of it. n = 2 forms
+    # 2 + 1 + 1 + 1 + 1 + 1 (each square is one product). n = 3 resumes
+    # from n = 2's step: one Horner step, and (1-ac)^3 = (1-ac)^2 (1-ac)
+    # and likewise for 1-bd, again 7.
+    for n, count, binomial in ((1, 0, 16), (2, 7, 19), (3, 7, 23)):
         products.clear()
         power_instance(q, n)
         assert len(products) == count < binomial
     # a fresh quadruple starts from q: n - 1 Horner steps, and (1-ac)^n and
-    # (1-bd)^n by squaring alone (they were (1-ac) (1-ac)^(n-1), 21, 33 and
-    # 53 products at n = 4, 8 and 16)
-    for n, count in ((3, 17), (4, 19), (8, 29), (16, 47)):
+    # (1-bd)^n by squaring alone, 2, 2, 3 and 4 products each at n = 3, 4,
+    # 8 and 16, then a c', b' d and d b' (they were (1-ac) (1-ac)^(n-1),
+    # 21, 33 and 53 products at n = 4, 8 and 16)
+    for n, count in ((3, 11), (4, 13), (8, 23), (16, 41)):
         q = Quadruple(q.a, q.b, q.c, q.d)
         q.conditions, q.bd
         products.clear()
