@@ -17,7 +17,7 @@ the slots, inline, not through `is_zero` and `is_identity`.
 
 Real matrices, the common case, take a direct path: a product of two real
 matrices is `_make` of `_gmul` of their grids, and a sum or difference of
-two real matrices over one denominator is `_make` of `_gadd` or `_gsub`.
+two real matrices over one denominator is `_make` of `_gmap` of them.
 `_bilinear` (the Gaussian product, from four real ones) runs only when a
 factor has an imaginary grid, and `_gather` (operands brought over their
 lcm denominator, a missing imaginary grid padded with zeros) only for a
@@ -43,27 +43,27 @@ whatever route the elimination takes. `inverse`, `solve` and `one_inverse`
 all read their answer off rref([a | b]) through `_read_off`.
 
 The per-entry grid loops run as straight-line kernels generated on first
-use, one per shape: the product `_gmul`, the entrywise `x + y` and `x - y`
-of `_gadd` and `_gsub`, the scalar `x * k` and `x // k` of `_gscale` and of
-`_gdiv` (the exact division by the gcd in `_make`), and the row step over
-Z. A product kernel for (rows, inner, cols) unpacks both grids into locals
-and writes each entry out as x0_0 * y0_0 + x0_1 * y1_0 + ..., the same
-integer sum the loop forms; an entrywise or scalar kernel writes each entry
-out as x0_0 + y0_0 or x0_0 * k; a row-step kernel for one width writes out
-both branches of `_z_step`. This removes the interpreter's per-entry
-overhead (the loop builds a generator frame per row or entry), not
-arithmetic: every value, and the number of products and eliminations, is
-the loops'. `_eliminate_matrix` picks its row step once per elimination
-through `_z_step_for`. A kernel is compiled with `exec`, as `dataclasses`
-builds its methods, from source text made of the shape's integers and a
-fixed operator token alone, never of entries or other input, and kept in
-a bounded `lru_cache`. Only shapes within `MAX_SIZE`, the largest input
-side, get one: grid dimensions up to twice it ([a | b]) and row widths up
-to its square (the n^2-column commutation system). Larger shapes run the
-loops. The bound caps compile time and memory (a 16x16x16 product kernel
-compiles in about 80 ms and keeps about 230 kB), and keeps clear of
-CPython's compiler, which raises RecursionError on a `+` chain a few
-thousand terms long.
+use, one per shape: the product `_gmul`, the entrywise arithmetic `_gmap`
+(`x + y` and `x - y` of two grids, `x * k` and `x // k` of a grid and an
+int, the last the exact division by the gcd in `_make`), and the row step
+over Z. A product kernel for (rows, inner, cols) unpacks both grids into
+locals and writes each entry out as x0_0 * y0_0 + x0_1 * y1_0 + ..., the
+same integer sum the loop forms; an entrywise kernel writes x0_0 + y0_0 or
+x0_0 * y, its op fixing whether y is a grid or an int; a row-step kernel
+for one width writes out both branches of `_z_step`. This removes the
+interpreter's per-entry overhead (the loop builds a generator frame per
+row or entry), not arithmetic: every value, and the number of products and
+eliminations, is the loops'. `_eliminate_matrix` picks its row step once
+per elimination through `_z_step_for`. A kernel is compiled with `exec`,
+as `dataclasses` builds its methods, from source text made of the shape's
+integers and a fixed operator token alone, never of entries or other
+input, and kept in a bounded `lru_cache`. Only shapes within `MAX_SIZE`,
+the largest input side, get one: grid dimensions up to twice it ([a | b])
+and row widths up to its square (the n^2-column commutation system).
+Larger shapes run the loops, `_gmap`'s through its `_OPS` table. The bound
+caps compile time and memory (a 16x16x16 product kernel compiles in about
+80 ms and keeps about 230 kB), and keeps clear of CPython's compiler, which
+raises RecursionError on a `+` chain a few thousand terms long.
 
 `GaussianRational` is the scalar only at the API boundary: the constructor,
 `entry`, `to_rows` and `scale`'s argument. It has no arithmetic of its own,
@@ -80,10 +80,10 @@ their lcm, rescaling only when it is not 1. Matrices are immutable, so
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from itertools import chain
+from functools import lru_cache, partial
+from itertools import chain, repeat
 from math import gcd, lcm
-from operator import add, mul, sub
+from operator import add, floordiv, mul, sub
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InternalInvariantError, ShapeError, SingularMatrixError
@@ -142,24 +142,21 @@ def _product_kernel(n, k, m):
     return _kernel("product", "x, y", body)
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=512)
 def _entrywise_kernel(op, rows, cols):
-    """Straight-line `x op y` for two rows x cols integer grids, op "+" or
-    "-": entry (i, j) is x{i}_{j} op y{i}_{j}."""
+    """Straight-line `x op y` for a rows x cols integer grid x. For op "+"
+    or "-", y is a grid of the same shape and entry (i, j) is
+    x{i}_{j} op y{i}_{j}; for op "*" or "//", y is an int and entry (i, j)
+    is x{i}_{j} op y."""
     xs = [[f"x{i}_{j}" for j in range(cols)] for i in range(rows)]
-    ys = [[f"y{i}_{j}" for j in range(cols)] for i in range(rows)]
+    body = [f"{_unpack(xs)}= x"]
+    if op in ("+", "-"):
+        ys = [[f"y{i}_{j}" for j in range(cols)] for i in range(rows)]
+        body.append(f"{_unpack(ys)}= y")
+    else:
+        ys = [["y"] * cols] * rows
     entries = [[f"{x} {op} {y}" for x, y in zip(xr, yr)] for xr, yr in zip(xs, ys)]
-    body = [f"{_unpack(xs)}= x", f"{_unpack(ys)}= y", f"return ({_unpack(entries)})"]
-    return _kernel("entrywise", "x, y", body)
-
-
-@lru_cache(maxsize=256)
-def _scalar_kernel(op, rows, cols):
-    """Straight-line `x op k` for a rows x cols integer grid and an int k,
-    op "*" or "//": entry (i, j) is x{i}_{j} op k."""
-    xs = [[f"x{i}_{j}" for j in range(cols)] for i in range(rows)]
-    entries = [[f"{x} {op} k" for x in row] for row in xs]
-    return _kernel("scalar", "x, k", [f"{_unpack(xs)}= x", f"return ({_unpack(entries)})"])
+    return _kernel("entrywise", "x, y", [*body, f"return ({_unpack(entries)})"])
 
 
 @lru_cache(maxsize=MAX_SIZE**2)
@@ -185,33 +182,17 @@ def _gmul(x, y):
     return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in x)
 
 
-def _gadd(x, y):
+_OPS = {"+": add, "-": sub, "*": mul, "//": floordiv}
+
+
+def _gmap(op, x, y):
+    """x op y entrywise, y a grid of x's shape for "+" and "-" and an int
+    for "*" and "//": the shape's kernel, or the loop past the bound."""
     n, m = len(x), len(x[0])
     if n <= 2 * MAX_SIZE and m <= 2 * MAX_SIZE:
-        return _entrywise_kernel("+", n, m)(x, y)
-    return tuple(tuple(map(add, r, s)) for r, s in zip(x, y))
-
-
-def _gsub(x, y):
-    n, m = len(x), len(x[0])
-    if n <= 2 * MAX_SIZE and m <= 2 * MAX_SIZE:
-        return _entrywise_kernel("-", n, m)(x, y)
-    return tuple(tuple(map(sub, r, s)) for r, s in zip(x, y))
-
-
-def _gscale(x, k):
-    n, m = len(x), len(x[0])
-    if n <= 2 * MAX_SIZE and m <= 2 * MAX_SIZE:
-        return _scalar_kernel("*", n, m)(x, k)
-    return tuple(tuple(v * k for v in row) for row in x)
-
-
-def _gdiv(x, k):
-    """x // k entrywise; `_make` divides exactly, by the gcd."""
-    n, m = len(x), len(x[0])
-    if n <= 2 * MAX_SIZE and m <= 2 * MAX_SIZE:
-        return _scalar_kernel("//", n, m)(x, k)
-    return tuple(tuple(v // k for v in row) for row in x)
+        return _entrywise_kernel(op, n, m)(x, y)
+    ys = y if op in ("+", "-") else repeat((y,) * m)
+    return tuple(tuple(map(_OPS[op], r, s)) for r, s in zip(x, ys))
 
 
 def _grid(flat, cols):
@@ -235,9 +216,9 @@ def _bilinear(f, xre, xim, yre, yim):
     if yim is not None:
         im = f(xre, yim)
     if xim is not None:
-        im = f(xim, yre) if im is None else _gadd(im, f(xim, yre))
+        im = f(xim, yre) if im is None else _gmap("+", im, f(xim, yre))
         if yim is not None:
-            re = _gsub(re, f(xim, yim))
+            re = _gmap("-", re, f(xim, yim))
     return re, im
 
 
@@ -246,18 +227,15 @@ def _gather(mats, f) -> "Matrix":
     common denominator, and likewise from their im grids; f must be
     Z-linear. The im grids are skipped when every matrix is real;
     otherwise zeros stand in for a missing one."""
-    den = mats[0].den
-    if all(m.im is None and m.den == den for m in mats):
-        return Matrix._make(den, f([m.re for m in mats]), None)
     den = lcm(*(m.den for m in mats))
     complex_ = any(m.im is not None for m in mats)
     res, ims = [], []
     for m in mats:
         k = den // m.den
-        res.append(m.re if k == 1 else _gscale(m.re, k))
+        res.append(m.re if k == 1 else _gmap("*", m.re, k))
         if complex_:
             im = _gzeros(m.rows, m.cols) if m.im is None else m.im
-            ims.append(im if k == 1 else _gscale(im, k))
+            ims.append(im if k == 1 else _gmap("*", im, k))
     return Matrix._make(den, f(res), f(ims) if complex_ else None)
 
 
@@ -301,9 +279,9 @@ class Matrix:
                 g = -g
             if g != 1:
                 den //= g
-                re = _gdiv(re, g)
+                re = _gmap("//", re, g)
                 if im is not None:
-                    im = _gdiv(im, g)
+                    im = _gmap("//", im, g)
         m = object.__new__(cls)
         _set_rows(m, len(re))
         _set_cols(m, len(re[0]))
@@ -375,28 +353,28 @@ class Matrix:
         """f applied to both integer grids (f must be Z-linear)."""
         return Matrix._make(self.den, f(self.re), None if self.im is None else f(self.im))
 
-    def __add__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        self._require_same_shape(other)
-        if self.im is None and other.im is None and self.den == other.den:
-            return Matrix._make(self.den, _gadd(self.re, other.re), None)
-        return _gather((self, other), lambda g: _gadd(*g))
+    def _entrywise(op):
+        """The method `x op y` for op "+" or "-"."""
 
-    def __sub__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        self._require_same_shape(other)
-        if self.im is None and other.im is None and self.den == other.den:
-            return Matrix._make(self.den, _gsub(self.re, other.re), None)
-        return _gather((self, other), lambda g: _gsub(*g))
+        def method(self, other):
+            if not isinstance(other, Matrix):
+                return NotImplemented
+            self._require_same_shape(other)
+            if self.im is None and other.im is None and self.den == other.den:
+                return Matrix._make(self.den, _gmap(op, self.re, other.re), None)
+            return _gather((self, other), lambda g: _gmap(op, *g))
+
+        return method
+
+    __add__, __sub__ = _entrywise("+"), _entrywise("-")
+    del _entrywise
 
     def __neg__(self):
-        return self._apply(lambda g: _gscale(g, -1))
+        return self._apply(lambda g: _gmap("*", g, -1))
 
     def scale(self, scalar) -> "Matrix":
         sre, sim, sden = _scalar_ints(scalar)
-        re, im = _bilinear(_gscale, self.re, self.im, sre, sim or None)
+        re, im = _bilinear(partial(_gmap, "*"), self.re, self.im, sre, sim or None)
         return Matrix._make(self.den * sden, re, im)
 
     def __mul__(self, other):
@@ -672,8 +650,7 @@ def _place_rows(reduced: Matrix, pivots: Sequence[int], rows: int, start: int) -
             out[pc] = g[r][start:]
         return tuple(out)
 
-    im = None if reduced.im is None else place(reduced.im)
-    return Matrix._make(reduced.den, place(reduced.re), im)
+    return reduced._apply(place)
 
 
 def _read_off(a: Matrix, b: Matrix) -> tuple[Matrix, int, bool]:

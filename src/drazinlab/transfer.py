@@ -246,11 +246,6 @@ class TransferOutcome:
     alpha_index: int
     beta_index: int
 
-    @property
-    def alpha_pi_nonzero(self) -> bool:
-        """True when the spectral-idempotent branch of the formula was live."""
-        return self.alpha_index > 0
-
 
 def _require_conditions(q: Quadruple) -> None:
     report = q.conditions

@@ -54,9 +54,12 @@ class Failure:
 @dataclass
 class VerifyReport:
     total: int = 0
-    passed: int = 0
     failures: list[Failure] = field(default_factory=list)
     index_pairs: list[tuple[int, int]] = field(default_factory=list)
+
+    @property
+    def passed(self) -> int:
+        return self.total - len(self.failures)
 
     @property
     def ok(self) -> bool:
@@ -101,9 +104,7 @@ def run_battery(quads: list[Quadruple]) -> VerifyReport:
     report = VerifyReport(total=len(quads))
     for idx, q in enumerate(quads):
         failure = _first_failure(idx, q, report.index_pairs)
-        if failure is None:
-            report.passed += 1
-        else:
+        if failure is not None:
             report.failures.append(failure)
     return report
 

@@ -28,14 +28,10 @@ from drazinlab.matrices import (
     MAX_SIZE,
     _bilinear,
     _entrywise_kernel,
-    _gadd,
     _gather,
-    _gdiv,
+    _gmap,
     _gmul,
-    _gscale,
-    _gsub,
     _product_kernel,
-    _scalar_kernel,
     _z_step,
     _z_step_for,
     _z_step_kernel,
@@ -352,12 +348,16 @@ def test_row_step_kernel_matches_the_reference_on_every_width():
     assert _z_step_kernel.cache_info() == before
 
 
+ENTRYWISE_OPS = {"+": add, "-": sub, "*": mul, "//": floordiv}
+
+
 def entrywise_reference(x, y, op):
-    return tuple(tuple(op(u, v) for u, v in zip(r, s)) for r, s in zip(x, y))
-
-
-def scalar_reference(x, k, op):
-    return tuple(tuple(op(v, k) for v in row) for row in x)
+    """x op y entrywise by the loop: y is a grid for "+" and "-", an int for
+    "*" and "//"."""
+    f = ENTRYWISE_OPS[op]
+    if op in ("+", "-"):
+        return tuple(tuple(f(u, v) for u, v in zip(r, s)) for r, s in zip(x, y))
+    return tuple(tuple(f(v, y) for v in row) for row in x)
 
 
 def rand_divisor(rng):
@@ -366,39 +366,36 @@ def rand_divisor(rng):
     return rng.choice((-1, 1)) * (rng.getrandbits(rng.choice((3, 64, 200))) | 1)
 
 
-def test_entrywise_and_scalar_kernels_match_the_loops_on_every_shape():
+def test_entrywise_kernels_match_the_loops_on_every_shape():
     rng = random.Random(53)
     side = 2 * MAX_SIZE
     for rows in range(1, side + 1):
         for cols in range(1, side + 1):
             x, y = rand_big_grid(rng, rows, cols), rand_big_grid(rng, rows, cols)
             k = rand_divisor(rng)
-            assert _entrywise_kernel("+", rows, cols)(x, y) == entrywise_reference(x, y, add)
-            assert _entrywise_kernel("-", rows, cols)(x, y) == entrywise_reference(x, y, sub)
-            scaled = _scalar_kernel("*", rows, cols)(x, k)
-            assert scaled == scalar_reference(x, k, mul)
-            assert _scalar_kernel("//", rows, cols)(y, k) == scalar_reference(y, k, floordiv)
-            assert _scalar_kernel("//", rows, cols)(scaled, k) == x  # exact, as in _make
-            # the grid functions dispatch to the same kernels
-            assert (_gadd(x, y), _gsub(x, y)) == (
-                entrywise_reference(x, y, add),
-                entrywise_reference(x, y, sub),
-            )
-            assert (_gscale(x, k), _gdiv(scaled, k)) == (scaled, x)
+            for op in ENTRYWISE_OPS:
+                other = y if op in ("+", "-") else k
+                expected = entrywise_reference(x, other, op)
+                assert _entrywise_kernel(op, rows, cols)(x, other) == expected
+                # the dispatcher runs the same kernel
+                assert _gmap(op, x, other) == expected
+            scaled = _gmap("*", x, k)
+            assert _entrywise_kernel("//", rows, cols)(scaled, k) == x  # exact, as in _make
+            assert _gmap("//", scaled, k) == x
 
 
 def test_entrywise_past_the_bound_runs_the_loop_and_builds_no_kernel():
     rng = random.Random(59)
     past = 2 * MAX_SIZE + 1
-    before = (_entrywise_kernel.cache_info(), _scalar_kernel.cache_info())
+    before = _entrywise_kernel.cache_info()
     for rows, cols in ((past, 3), (3, past), (past, past)):
         x, y = rand_big_grid(rng, rows, cols), rand_big_grid(rng, rows, cols)
         k = rand_divisor(rng)
-        assert _gadd(x, y) == entrywise_reference(x, y, add)
-        assert _gsub(x, y) == entrywise_reference(x, y, sub)
-        assert _gscale(x, k) == scalar_reference(x, k, mul)
-        assert _gdiv(x, k) == scalar_reference(x, k, floordiv)
-    assert (_entrywise_kernel.cache_info(), _scalar_kernel.cache_info()) == before
+        for op in ENTRYWISE_OPS:
+            other = y if op in ("+", "-") else k
+            assert _gmap(op, x, other) == entrywise_reference(x, other, op)
+        assert _gmap("//", _gmap("*", x, k), k) == x
+    assert _entrywise_kernel.cache_info() == before
 
 
 def test_make_divides_out_a_negative_denominator():
@@ -479,8 +476,35 @@ def test_direct_real_paths_match_the_general_route_and_fractions(n, k, m, kx, ky
     xs, ys, zs = x.to_rows(), y.to_rows(), z.to_rows()
     general = Matrix._make(x.den * z.den, *_bilinear(_gmul, x.re, x.im, z.re, z.im))
     assert x * z == general == as_matrix(g_mul(xs, zs))
-    assert x + y == _gather((x, y), lambda g: _gadd(*g)) == as_matrix(g_add(xs, ys))
-    assert x - y == _gather((x, y), lambda g: _gsub(*g)) == as_matrix(g_sub(xs, ys))
+    assert x + y == _gather((x, y), lambda g: _gmap("+", *g)) == as_matrix(g_add(xs, ys))
+    assert x - y == _gather((x, y), lambda g: _gmap("-", *g)) == as_matrix(g_sub(xs, ys))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    SIDES,
+    st.lists(st.tuples(SIDES, KINDS), min_size=1, max_size=3),
+    st.randoms(use_true_random=False),
+)
+def test_hstack_and_block_diag_place_the_entries(rows, blocks, rng):
+    """`hstack` and `block_diag` against concatenating and placing the
+    operands' `to_rows()`: `hstack` joins rows x cols operands, one per
+    drawn (cols, kind), and `block_diag` cols x cols ones."""
+    mats = [rand_operand(rng, rows, cols, kind) for cols, kind in blocks]
+    expected = [sum(parts, []) for parts in zip(*(m.to_rows() for m in mats))]
+    stacked = mats[0]
+    for m in mats[1:]:
+        stacked = stacked.hstack(m)
+    assert stacked.to_rows() == expected and stacked == as_matrix(expected)
+
+    squares = [rand_operand(rng, cols, cols, kind) for cols, kind in blocks]
+    width = sum(b.cols for b in squares)
+    expected, left = [], 0
+    for b in squares:
+        expected += [[ZERO] * left + row + [ZERO] * (width - left - b.cols) for row in b.to_rows()]
+        left += b.cols
+    placed = block_diag(*squares)
+    assert placed.to_rows() == expected and placed == as_matrix(expected)
 
 
 def test_real_operands_skip_the_general_route(monkeypatch):
