@@ -227,7 +227,7 @@ def _gather(mats, f) -> "Matrix":
     common denominator, and likewise from their im grids; f must be
     Z-linear. The im grids are skipped when every matrix is real;
     otherwise zeros stand in for a missing one."""
-    den = lcm(*(m.den for m in mats))
+    den = lcm(*[m.den for m in mats])
     complex_ = any(m.im is not None for m in mats)
     res, ims = [], []
     for m in mats:

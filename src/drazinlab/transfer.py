@@ -18,14 +18,15 @@ Drazin data of beta is an explicit expression in that of alpha:
 
     y = [1 - d p (1 - p alpha (1 + bd))^-1 b a c](1 + ac) + d x b a c
 
-with p = alpha^pi and x = alpha^D. Every transfer operation here evaluates
-y, computes the Drazin inverse of beta directly (it is alpha's when
-beta = alpha), and returns both; the formula is never trusted on its own.
-The resolvent is a finite sum and needs none of the four conditions:
-m = p alpha (1 + bd) = (p alpha)(2 - alpha), p alpha commutes with alpha
-and vanishes at alpha's index l, so m^max(l,1) = 0 and
-(1 - m)^-1 = sum_{k < max(l,1)} m^k. A nonzero last power is reported as
-an internal failure rather than swallowed.
+with p = alpha^pi and x = alpha^D. `transfer_value` is the one place that
+writes this formula and its resolvent sum, with only *, +, -, == and the
+ring's one, so any ring can run it. Every transfer evaluates y, computes
+the Drazin inverse of beta directly (it is alpha's when beta = alpha), and
+returns both; the formula is never trusted on its own. The resolvent is a
+finite sum and needs none of the four conditions: m = p alpha (1 + bd) =
+(p alpha)(2 - alpha), p alpha commutes with alpha and vanishes at alpha's
+index l, so m^max(l,1) = 0 and (1 - m)^-1 = sum_{k < max(l,1)} m^k. A
+nonzero last power is reported as an internal failure rather than swallowed.
 
 Note the factor inside the inverse carries the idempotent p: dropping it
 would leave 1 - alpha(1 + bd) = (bd)^2, which is singular for most
@@ -244,7 +245,10 @@ class TransferOutcome:
     direct: DrazinData
     agrees: bool
     alpha_index: int
-    beta_index: int
+
+    @property
+    def beta_index(self) -> int:
+        return self.direct.index
 
 
 def _require_conditions(q: Quadruple) -> None:
@@ -254,26 +258,23 @@ def _require_conditions(q: Quadruple) -> None:
         raise ConditionsViolatedError(f"side conditions fail: {'; '.join(failed)}", failed)
 
 
-def _resolvent(q: Quadruple, alpha_data: DrazinData) -> Matrix:
-    """(1 - m)^-1 for m = p alpha (1+bd), as the finite sum of m^k over
-    k < max(l, 1), l = alpha's index; m^max(l,1) = 0 is checked."""
-    eye = Matrix.identity(q.size)
-    m = alpha_data.spectral_idempotent * q.alpha * (eye + q.bd)
-    resolvent, m_k = eye, m
-    for _ in range(1, max(alpha_data.index, 1)):
+def transfer_value(b, d, ac, bd, alpha, x, p, l, one):
+    """The formula's y in any ring, from x = alpha^D, p = alpha^pi and alpha's
+    index l, with (1 - m)^-1 = sum_{k < max(l,1)} m^k for m = p alpha (1+bd)."""
+    m = p * alpha * (one + bd)
+    resolvent, m_k = one, m
+    for _ in range(1, max(l, 1)):
         resolvent, m_k = resolvent + m_k, m_k * m
-    if not m_k.is_zero():
+    if m_k != one - one:
         raise InternalInvariantError("p alpha (1+bd) not nilpotent within alpha's index: kernel bug")
-    return resolvent
+    bac = b * ac
+    return (one - d * p * resolvent * bac) * (one + ac) + d * x * bac
 
 
 def _evaluate_transfer(q: Quadruple, alpha_data: DrazinData) -> TransferOutcome:
-    d, ac, beta = q.d, q.ac, q.beta
-    eye = Matrix.identity(q.size)
+    beta, eye = q.beta, Matrix.identity(q.size)
     p, x = alpha_data.spectral_idempotent, alpha_data.dinv
-    resolvent = _resolvent(q, alpha_data)
-    bac = q.b * ac
-    y = (eye - d * p * resolvent * bac) * (eye + ac) + d * x * bac
+    y = transfer_value(q.b, q.d, q.ac, q.bd, q.alpha, x, p, alpha_data.index, eye)
     # drazin is deterministic, and its idempotent is eye - beta * dinv
     direct = alpha_data if beta == q.alpha else drazin(beta)
     agrees = y == direct.dinv
@@ -284,7 +285,6 @@ def _evaluate_transfer(q: Quadruple, alpha_data: DrazinData) -> TransferOutcome:
         direct=direct,
         agrees=agrees,
         alpha_index=alpha_data.index,
-        beta_index=direct.index,
     )
 
 

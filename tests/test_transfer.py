@@ -31,6 +31,7 @@ from drazinlab import (
     transfer_group,
 )
 import drazinlab.transfer as transfer_module
+from drazinlab.transfer import transfer_value
 from drazinlab.generators import FAMILIES, GeneratorSpec, counterexample_instance, gen_family
 from util import (
     as_matrix,
@@ -341,7 +342,8 @@ def test_transfer_group_disagrees_when_beta_has_no_group_inverse(monkeypatch):
     evaluate = transfer_module._evaluate_transfer
 
     def beta_of_index_two(q, alpha_data):
-        return replace(evaluate(q, alpha_data), beta_index=2)
+        out = evaluate(q, alpha_data)
+        return replace(out, direct=replace(out.direct, index=2))
 
     monkeypatch.setattr(transfer_module, "_evaluate_transfer", beta_of_index_two)
     out = transfer_group(counterexample_instance())
@@ -383,12 +385,14 @@ def unit_triangular_product(draw, n):
 
 @st.composite
 def resolvent_inputs(draw):
-    """(b, d) of sizes 1-5: either arbitrary, or with 1 - bd = S (N + U) S^-1
-    for a nilpotent Jordan-type block N (index up to its size), an upper
-    triangular invertible U and a unit triangular product S."""
+    """(b, d, ac) of sizes 1-5, ac arbitrary: b and d either arbitrary, or
+    with 1 - bd = S (N + U) S^-1 for a nilpotent Jordan-type block N (index
+    up to its size), an upper triangular invertible U and a unit triangular
+    product S."""
     n = draw(st.integers(1, 5))
+    ac = as_matrix(draw(grids(n, n)))
     if draw(st.booleans()):
-        return as_matrix(draw(grids(n, n))), as_matrix(draw(grids(n, n)))
+        return as_matrix(draw(grids(n, n))), as_matrix(draw(grids(n, n))), ac
     k = draw(st.integers(0, n))
 
     def cell(i, j):
@@ -404,24 +408,36 @@ def resolvent_inputs(draw):
     conj = draw(unit_triangular_product(n))
     alpha = conj * as_matrix(rows) * inverse(conj)
     d = draw(unit_triangular_product(n))
-    return (Matrix.identity(n) - alpha) * inverse(d), d
+    return (Matrix.identity(n) - alpha) * inverse(d), d, ac
 
 
 @settings(max_examples=60, deadline=None)
 @given(resolvent_inputs())
-def test_resolvent_is_the_finite_sum_property(pair):
+def test_resolvent_is_the_finite_sum_property(inputs):
     # no side condition is assumed: the sum closes for any b and d
-    b, d = pair
+    b, d, ac = inputs
     eye = Matrix.identity(b.rows)
     bd = b * d
     alpha = eye - bd
     data = drazin(alpha)
-    m = data.spectral_idempotent * alpha * (eye + bd)
+    p, x = data.spectral_idempotent, data.dinv
+    m = p * alpha * (eye + bd)
     assert (m ** max(data.index, 1)).is_zero()
-    # _resolvent reads only alpha, bd and the size of the quadruple
-    z = Matrix.zeros(b.rows, b.rows)
     # the elimination the finite sum replaced, kept as the reference
-    assert transfer_module._resolvent(Quadruple(z, b, z, d), data) == inverse(eye - m)
+    bac = b * ac
+    reference = (eye - d * p * inverse(eye - m) * bac) * (eye + ac) + d * x * bac
+    assert transfer_value(b, d, ac, bd, alpha, x, p, data.index, eye) == reference
+
+
+def test_transfer_value_raises_when_the_resolvent_sum_does_not_close():
+    # alpha = J, the 3x3 nilpotent shift, with bd = 1 - J, x = 0 and p = 1:
+    # m = J (2 - J) is nonzero and m^3 = 0
+    eye, z = Matrix.identity(3), Matrix.zeros(3, 3)
+    shift = as_matrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+    b = eye - shift
+    with pytest.raises(InternalInvariantError, match="not nilpotent within alpha's index"):
+        transfer_value(b, eye, z, b, shift, z, eye, 1, eye)
+    assert transfer_value(b, eye, z, b, shift, z, eye, 3, eye) == eye
 
 
 def test_transfer_drazin_reuses_alphas_drazin_data_when_beta_is_alpha(monkeypatch):
@@ -444,9 +460,9 @@ def test_transfer_drazin_reuses_alphas_drazin_data_when_beta_is_alpha(monkeypatc
 def test_disagreeing_formula_gets_its_own_idempotent(monkeypatch):
     (q,) = gen_family(GeneratorSpec("zero_padded_nilpotent", 4, seed=8, count=1))
     eye = Matrix.identity(4)
-    # a resolvent off by the identity moves y off the Drazin inverse of beta
-    original = transfer_module._resolvent
-    monkeypatch.setattr(transfer_module, "_resolvent", lambda quad, data: original(quad, data) + eye)
+    # a formula off by the identity moves y off the Drazin inverse of beta
+    original = transfer_module.transfer_value
+    monkeypatch.setattr(transfer_module, "transfer_value", lambda *args: original(*args) + eye)
     out = transfer_drazin(q)
     assert not out.agrees
     y = out.beta_drazin.dinv

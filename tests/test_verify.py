@@ -62,7 +62,8 @@ def test_summary_shows_a_violated_index_bound(monkeypatch):
     evaluate = transfer_module._evaluate_transfer
 
     def skewed(q, alpha_data):
-        return replace(evaluate(q, alpha_data), alpha_index=0, beta_index=2)
+        out = evaluate(q, alpha_data)
+        return replace(out, alpha_index=0, direct=replace(out.direct, index=2))
 
     monkeypatch.setattr(transfer_module, "_evaluate_transfer", skewed)
     report = run_battery([counterexample_instance()])
