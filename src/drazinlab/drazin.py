@@ -15,7 +15,9 @@ alone: it reads that basis off the powers of a nonderogatory matrix, which
 span the commutant, and solves the system only for a derogatory one.
 The cached basis also keeps its stacked grids as n^2 columns, so that
 `random_commutant_element` forms a sample as one dot product per entry,
-and checks that it commutes by comparing the raw product grids.
+and checks that it commutes by comparing the raw product grids. A
+sample's weights depend only on its int seed and the commutant's
+dimension k, so they are drawn once per (seed, k) and memoized.
 `in_double_commutant` tests the double commutant as the polynomial
 algebra of the matrix, by the pivot columns of one forward elimination.
 """
@@ -230,19 +232,31 @@ def commutant_basis(a: Matrix) -> tuple[Matrix, ...]:
     return basis
 
 
+@lru_cache(maxsize=1024)
+def _sample_weights(seed: int, k: int) -> tuple[int, ...]:
+    """The first k draws of randint(-3, 3) from random.Random(seed)."""
+    rng = random.Random(seed)
+    return tuple(rng.randint(-3, 3) for _ in range(k))
+
+
 def random_commutant_element(a: Matrix, seed: int) -> Matrix:
     """Seed-deterministic random element of the commutant of `a`.
 
     One small-integer combination of `commutant_basis(a)`: each entry is
     the dot product of the weights with one cached column, over the
-    columns' common denominator. The commutation is exact by construction
-    and re-checked on the raw grids of x a and a x, which share the
-    denominator den(x) den(a), so they are equal exactly when the products
-    are; a zero or identity factor commutes without multiplying.
+    columns' common denominator. The weights are the first k draws of
+    randint(-3, 3) from random.Random(seed), k = len(basis), memoized per
+    (seed, k). The seed must be an int (TypeError otherwise), so that a
+    sample is a function of (a, seed). The commutation is exact by
+    construction and re-checked on the raw grids of x a and a x, which
+    share the denominator den(x) den(a), so they are equal exactly when
+    the products are; a zero or identity factor commutes without
+    multiplying.
     """
+    if not isinstance(seed, int):
+        raise TypeError(f"commutant sample seed must be an int, got {type(seed).__name__}")
     basis = commutant_basis(a)
-    rng = random.Random(seed)
-    w = [rng.randint(-3, 3) for _ in basis]
+    w = _sample_weights(seed, len(basis))
     x = basis.cols._apply(lambda g: _grid([sum(map(mul, w, col)) for col in g], a.cols))
     if any(m.is_zero() or m.is_identity() for m in (x, a)):
         return x

@@ -469,6 +469,40 @@ def test_sampler_forms_no_matrix_products(monkeypatch):
     assert all(s * a == a * s and not (s.is_zero() or s.is_identity()) for s in samples)
 
 
+def test_sampler_weights_are_memoized_per_seed_and_dimension():
+    # seeds interleaved over commutants of dimension 2, 4, 8 and 9, cold
+    # then warm: every sample equals the one drawn from a fresh Random
+    weights = drazin_module._sample_weights
+    weights.cache_clear()
+    matrices = [J2, Matrix.zeros(2, 2), block_diag(J2, J2), Matrix.zeros(3, 3)]
+    assert [len(commutant_basis(a)) for a in matrices] == [2, 4, 8, 9]
+    for _ in range(2):
+        for seed in range(10):
+            for a in matrices:
+                assert random_commutant_element(a, seed) == random_commutant_element_reference(a, seed)
+    info = weights.cache_info()
+    assert (info.misses, info.hits) == (40, 40)
+
+
+def test_sampler_weights_cover_a_commutant_larger_than_max_size_squared():
+    a = Matrix.zeros(9, 9)
+    assert len(commutant_basis(a)) == 81
+    assert random_commutant_element(a, 3) == random_commutant_element_reference(a, 3)
+
+
+def test_sampler_weights_memo_is_immutable_and_bounded():
+    weights, rng = drazin_module._sample_weights, random.Random(5)
+    assert weights(5, 6) == tuple(rng.randint(-3, 3) for _ in range(6))
+    assert isinstance(weights(5, 6), tuple)
+    assert isinstance(weights.cache_info().maxsize, int)
+
+
+@pytest.mark.parametrize("seed", [None, "7", b"7", bytearray(b"7"), 2.5])
+def test_sampler_requires_an_int_seed(seed):
+    with pytest.raises(TypeError, match="must be an int"):
+        random_commutant_element(J2, seed)
+
+
 GAUSS_J2 = as_matrix([[GaussianRational(0, 1), 1], [0, GaussianRational(0, 1)]])
 
 
