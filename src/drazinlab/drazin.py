@@ -3,10 +3,11 @@
 Two independent exact algorithms are provided on purpose: `drazin` reads
 A^D off one solve with a high power, `oracle_drazin` goes through the
 core-nilpotent splitting. They must agree entrywise on every input; a
-disagreement is a kernel bug, never a property of the input. Both find the
-index by the rank sequence of the powers, which reads only pivots and so
-eliminates each power forward only (`pivot_columns`); `oracle_drazin` then
-reduces a^l once for its kernel.
+disagreement is a kernel bug, never a property of the input. Each finds
+the index its own way, so the indices cross-check too: `drazin` by the rank
+sequence of the powers, which reads only pivots and so eliminates each
+power forward only (`pivot_columns`); `oracle_drazin` as the nilpotency
+index of the nilpotent block of its splitting.
 
 A Drazin inverse lies in the double commutant of its matrix (Drazin 1958,
 Amer. Math. Monthly 65). `commutant_basis` returns the null-space basis
@@ -59,25 +60,10 @@ def _require_square(a: Matrix, what: str) -> None:
         raise ShapeError(f"{what} requires a square matrix, got {a.rows}x{a.cols}")
 
 
-def _index_and_power(a: Matrix) -> tuple[int, Matrix]:
-    """(index l, a^l), a^l the power the rank sequence has formed. Only the
-    ranks are read, so each power is eliminated forward only."""
-    _require_square(a, "index")
-    prev_rank, prev_power = a.rows, Matrix.identity(a.rows)  # a^0 = I
-    power = a
-    k = 0
-    while True:
-        r = len(pivot_columns(power))
-        if r == prev_rank:
-            return k, prev_power
-        prev_rank, prev_power = r, power
-        power = power * a
-        k += 1
-
-
 def index_of(a: Matrix) -> int:
     """Smallest k >= 0 with rank(a^k) = rank(a^(k+1)); 0 iff invertible."""
-    return _index_and_power(a)[0]
+    _require_square(a, "index")
+    return drazin(a).index
 
 
 def nilpotency_index(a: Matrix) -> int:
@@ -108,14 +94,18 @@ def drazin(a: Matrix) -> DrazinData:
     """Drazin inverse read off one solve: A^D = A^l Y for any Y with
     A^(2l+1) Y = A^l, l the index (at l = 0, Y = a^-1).
 
+    The index is the first l with rank(a^l) = rank(a^(l+1)); the loop that
+    finds it exits holding a^l and a^(l+1), whose product is A^(2l+1).
     At the index ker A^(2l+1) = ker A^l, so A^l (I - G A^(2l+1)) = 0 for a
     {1}-inverse G: the system is solvable, and A^l Y = A^l G A^l = A^D.
     The result is verified against all defining equations; the third,
     a^l (a x) = A^(2l+1) Y = a^l, fails exactly when Y is no solution.
     """
     _require_square(a, "Drazin inverse")
-    l, al = _index_and_power(a)
-    dinv = al * _read_off(al * al * a, al)[0]
+    l, al, rank, power = 0, Matrix.identity(a.rows), a.rows, a
+    while (r := len(pivot_columns(power))) != rank:
+        l, al, rank, power = l + 1, power, r, power * a
+    dinv = al * _read_off(al * power, al)[0]
     ax = a * dinv
     _verify_drazin(a, dinv, ax, al)
     return DrazinData(dinv=dinv, index=l, spectral_idempotent=Matrix.identity(a.rows) - ax)
@@ -133,36 +123,39 @@ def group_inverse(a: Matrix) -> Matrix:
 def oracle_drazin(a: Matrix) -> DrazinData:
     """Independent Drazin computation via the core-nilpotent splitting.
 
-    With k the index, columns of a^k spanning its column space and a basis
-    of its null space are glued into a change of basis P; then P^-1 a P is
-    block diagonal with an invertible core C and a nilpotent tail N, and
-    A^D = P diag(C^-1, 0) P^-1 = P[:, :r] C^-1 P^-1[:r, :], r = rank(a^k).
-    The rank sequence eliminates each power forward only; a^k is then
-    reduced once, for its rank, pivot columns and kernel, and P is
+    An invertible a (full rank, one forward elimination) is its own core.
+    Otherwise the split is taken at a^n, since n >= index: columns of a^n
+    spanning its column space and a basis of its null space are glued into
+    a change of basis P; then P^-1 a P is block diagonal with an invertible
+    core C and a nilpotent tail N, the index is the nilpotency index of N
+    (Ben-Israel and Greville, Generalized Inverses, 2003), and
+    A^D = P diag(C^-1, 0) P^-1 = P[:, :r] C^-1 P^-1[:r, :], r = rank(a^n).
+    a^n is reduced once, for its rank, pivot columns and kernel, and P is
     eliminated once, for its inverse, whose failure means the two spaces do
-    not complement.
+    not complement. No rank sequence is run.
     """
     _require_square(a, "Drazin inverse")
     n = a.rows
-    k, ak = _index_and_power(a)
-    if k == 0:
+    if len(pivot_columns(a)) == n:
         return DrazinData(inverse(a), 0, Matrix.zeros(n, n))
-    reduced = rref(ak)
+    an = a**n
+    reduced = rref(an)
     _, r, pivots = reduced
-    # k >= 1 forces r < n: the kernel and the nilpotent tail are never empty
+    # a is singular, so r < n: the kernel and the nilpotent tail are never empty
     kernel = _null_rows(reduced).T
-    p = ak.take_columns(pivots).hstack(kernel) if r else kernel
+    p = an.take_columns(pivots).hstack(kernel) if r else kernel
     try:
         p_inv = inverse(p)
     except SingularMatrixError as exc:
-        raise InternalInvariantError("range and kernel of a^k do not complement") from exc
+        raise InternalInvariantError("range and kernel of a^n do not complement") from exc
     m = p_inv * a * p
     for g in (m.re, m.im or ()):
         if any(map(any, (row[r:] for row in g[:r]))) or any(map(any, (row[:r] for row in g[r:]))):
             raise InternalInvariantError("similarity did not block-diagonalize")
-    tail = m.take_rows(range(r, n)).take_columns(range(r, n))
-    if not (tail**k).is_zero():
-        raise InternalInvariantError("tail block is not nilpotent at the index")
+    try:
+        k = nilpotency_index(m.take_rows(range(r, n)).take_columns(range(r, n)))
+    except ValueError as exc:
+        raise InternalInvariantError("tail block is not nilpotent") from exc
     if r:
         core = m.take_rows(range(r)).take_columns(range(r))
         dinv = p.take_columns(range(r)) * inverse(core) * p_inv.take_rows(range(r))

@@ -25,6 +25,7 @@ from drazinlab import (
     rank,
     random_commutant_element,
 )
+from drazinlab.matrices import MAX_SIZE
 from util import (
     RATIONALS,
     ZERO,
@@ -260,15 +261,15 @@ def test_drazin_matches_oracle_property(a):
 
 
 def test_drazin_reuses_the_index_power(monkeypatch):
-    # the 4x4 shift has index 4: index_of forms a^2..a^5, the solve two
-    # (A^(2l+1) = a^l a^l a) plus one (a^l Y), a A^D one, the self-check
-    # three (one per defining equation); a^4 is the power the rank
-    # sequence already formed
+    # the 4x4 shift has index 4: the rank sequence forms a^2..a^5, the
+    # solve one (A^(2l+1) = a^l a^(l+1), both powers the sequence already
+    # formed) plus one (a^l Y), a A^D one, the self-check three (one per
+    # defining equation)
     shift = as_matrix([[int(j == i + 1) for j in range(4)] for i in range(4)])
     products = record_calls(monkeypatch, Matrix, "__mul__")
     data = drazin(shift)
     assert data.index == 4 and data.dinv.is_zero()
-    assert len(products) == 11
+    assert len(products) == 10
 
 
 @pytest.mark.parametrize(
@@ -301,20 +302,84 @@ def test_oracle_eliminates_the_power_and_the_basis_change_once(monkeypatch):
     inverses = record_calls(monkeypatch, "drazinlab.matrices", "inverse")
     data = oracle_drazin(a)
     assert data.index == 2
-    # the rank sequence stops at echelon form; only the splitting reduces a^2
-    assert forward == [(a,), (a2,), (a3,)] and ranks == []
-    assert rrefs[0] == (a2,) and rrefs.count((a2,)) == 1
-    assert len(rrefs) == 3  # a^2, then [P | I] and [core | I] for the inverses
+    # one forward pass tells a singular; no rank sequence runs, and the
+    # split is taken at a^n = a^3, reduced once: the index is read off the
+    # nilpotent tail, so a^2 is never eliminated
+    assert forward == [(a,)] and ranks == []
+    assert rrefs[0] == (a3,) and rrefs.count((a3,)) == 1
+    assert (a2,) not in rrefs + forward
+    assert len(rrefs) == 3  # a^3, then [P | I] and [core | I] for the inverses
     assert [m.rows for (m,) in inverses] == [3, 1]  # P once, then the 1x1 core
 
 
-# -- the commutant -------------------------------------------------------------
+def test_oracle_reports_a_tail_that_is_not_nilpotent(monkeypatch):
+    # nilpotency_index's ValueError is a kernel fault of the splitting
+    def not_nilpotent(m):
+        raise ValueError("matrix is not nilpotent")
+
+    monkeypatch.setattr(drazin_module, "nilpotency_index", not_nilpotent)
+    with pytest.raises(InternalInvariantError, match="tail block is not nilpotent"):
+        oracle_drazin(J2)
+
 
 def jordan_block(size, eigenvalue):
     return Matrix.from_rows(
         [[eigenvalue if i == j else int(j == i + 1) for j in range(size)] for i in range(size)]
     )
 
+
+def partitions(m, largest=None):
+    """Every partition of m, parts in non-increasing order."""
+    if m == 0:
+        yield ()
+        return
+    for part in range(min(m, largest or m), 0, -1):
+        for rest in partitions(m - part, part):
+            yield (part,) + rest
+
+
+def shear_conjugator(rng, n, weights):
+    """(S, S^-1), S a product of 2n shears I + w E_ij (i != j), each w a
+    (re, im) pair from `weights`; S^-1 undoes the shears in reverse."""
+    def shear(i, j, re, im):
+        return Matrix.from_rows(
+            [[GaussianRational(re, im) if (r, c) == (i, j) else int(r == c) for c in range(n)]
+             for r in range(n)]
+        )
+
+    s = s_inv = Matrix.identity(n)
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2)
+        re, im = rng.choice(weights)
+        s, s_inv = s * shear(i, j, re, im), shear(i, j, -re, -im) * s_inv
+    return s, s_inv
+
+
+@pytest.mark.parametrize("n", range(2, MAX_SIZE + 1))
+def test_planted_index_on_both_routes(n):
+    # a = S diag(J_k1(0), ..., J_kt(0), J_(n-m)(lam)) S^-1 has index
+    # max(k) and A^D = S diag(0, J_(n-m)(lam)^-1) S^-1 by construction, an
+    # answer neither route supplies. Every partition (k1, ..., kt) of every
+    # nilpotent size m = 1..n with integer shears and lam = 2, then one
+    # Gaussian-shear case per index k with lam = 1 + i
+    rng = random.Random(n)
+    cases = [(ks, 2, [(w, 0) for w in (-2, -1, 1, 2)])
+             for m in range(1, n + 1) for ks in partitions(m)]
+    cases += [((k,), GaussianRational(1, 1), [(1, 1), (0, -1), (2, 0)]) for k in range(1, n + 1)]
+    for ks, lam, weights in cases:
+        s, s_inv = shear_conjugator(rng, n, weights)
+        m = sum(ks)
+        blocks = [jordan_block(k, 0) for k in ks] + ([jordan_block(n - m, lam)] if m < n else [])
+        a = s * block_diag(*blocks) * s_inv
+        expected = Matrix.zeros(n, n)
+        if m < n:
+            expected = s * block_diag(Matrix.zeros(m, m), inverse(blocks[-1])) * s_inv
+        data, oracle = drazin(a), oracle_drazin(a)
+        assert data.index == oracle.index == max(ks), ks
+        assert data.dinv == oracle.dinv == expected, ks
+
+
+# -- the commutant -------------------------------------------------------------
 
 @st.composite
 def commutant_inputs(draw, max_size=6):

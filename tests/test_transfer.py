@@ -1,6 +1,8 @@
 import random
 import re
+from collections import Counter
 from dataclasses import replace
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -24,6 +26,7 @@ from drazinlab import (
     inverse,
     jacobson_drazin,
     jacobson_inverse,
+    oracle_drazin,
     power_instance,
     rank,
     transfer_drazin,
@@ -570,6 +573,48 @@ def test_power_instance_forms_fewer_products_than_binomial_sums(monkeypatch):
         products.clear()
         power_instance(q, n)
         assert len(products) == count
+
+
+def _mul2(x, y):
+    """Product of two 2x2 integer matrices stored as flat (e00, e01, e10, e11)."""
+    a, b, c, d = x
+    e, f, g, h = y
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def test_every_01_2x2_quadruple_through_transfer_drazin():
+    # All 16^4 quadruples of 0/1 2x2 matrices over Q, filtered on the four
+    # conditions with plain-int products; those with a zero defect
+    # e = ac - db are the classic lemma, so the rest run the transfer
+    flats = [tuple((v >> k) & 1 for k in range(4)) for v in range(16)]
+    zero = (0, 0, 0, 0)
+    held, live = 0, []
+    for a, b, c, d in product(flats, repeat=4):
+        ac, db = _mul2(a, c), _mul2(d, b)
+        e = tuple(x - y for x, y in zip(ac, db))
+        if e == zero:
+            held += 1
+        elif (_mul2(e, ac) == _mul2(e, db) == _mul2(_mul2(b, e), a) == _mul2(_mul2(c, e), d)
+              == zero):
+            held += 1
+            strong = _mul2(e, d) == _mul2(e, a) == zero
+            live.append((Quadruple(*(as_matrix([m[:2], m[2:]]) for m in (a, b, c, d))), strong))
+    assert (held, len(live)) == (7856, 3162)
+    pairs, weak, matrices = Counter(), 0, set()
+    for q, strong in live:
+        outcome = transfer_drazin(q)
+        assert outcome.agrees
+        pairs[outcome.alpha_index, outcome.beta_index] += 1
+        if not strong:
+            # the size-2 proposition: 1 - bd is invertible off the strong premise
+            weak += 1
+            assert outcome.alpha_index == 0
+        matrices.update((q.alpha, q.beta))
+    assert pairs == {(0, 0): 2306, (1, 1): 856}
+    assert weak == 1088
+    assert len(matrices) == 30
+    for m in matrices:
+        assert oracle_drazin(m) == drazin(m)
 
 
 def test_transfer_group_on_index_one_instances():
