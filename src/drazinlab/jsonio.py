@@ -5,10 +5,11 @@ with each scalar a pair of rational strings ("-3/2", integers as "4").
 The codec works on the matrix's integer grids: encoding writes each
 entry (v / den) in lowest terms, the text `str(Fraction)` would give, and
 decoding validates each string with `scalars._parse_ratio` and builds the
-grids from the integer pairs in one step. No per-entry `Fraction` or
-`GaussianRational` is made on either side. `_parse_ratio` memoizes the
-validation of each distinct string behind its type guard, so a corpus's
-repeated strings are parsed once per process.
+grids from the integer parts in one step. No per-entry `Fraction` or
+`GaussianRational` is made on either side. Decoding memoizes each
+distinct `[re, im]` cell (`_cell_parts`), so a corpus's repeated cells
+are parsed once per process; a cell with an unhashable part misses the
+memo and goes to `_parse_ratio` for its ParseError.
 A quadruple is `{"a": .., "b": .., "c": .., "d": ..}`; when "d" is absent
 the loader lifts the triple by setting d := a.
 
@@ -16,12 +17,17 @@ A matrix side over `matrices.MAX_SIZE` is refused: exact elimination
 has no cost bound, so the input size bounds a command's run time.
 
 Encoding is deterministic (sorted keys, fixed separators) so that equal
-values serialize byte-for-byte equal.
+values serialize byte-for-byte equal. `dumps` uses one encoder, built at
+import, without the stdlib's cycle check (an id-dict insert and delete
+for every list and dict, about 40% of the encoding time). That is safe
+because `dumps` only ever encodes trees that the `*_to_obj` functions
+have just built or that `loads` returned, and neither can hold a cycle.
 """
 
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from math import gcd
 from typing import Any
 
@@ -53,6 +59,19 @@ def matrix_to_obj(m: Matrix) -> dict[str, Any]:
     return {"rows": m.rows, "cols": m.cols, "entries": entries}
 
 
+# A corpus repeats few distinct cells: reading back perfbench's seed-0
+# corpus_transfer corpus decodes 18360 cells, 365 of them distinct, so 98%
+# of the calls hit even a cold cache. Exceptions are not cached, so a
+# malformed cell is rejected anew on every call.
+@lru_cache(maxsize=1024)
+def _cell_parts(re_text: str, im_text: str) -> tuple[int, int, int]:
+    """(re, im, den) of the cell [re_text, im_text] over one denominator,
+    with both strings validated by `_parse_ratio`."""
+    re_num, re_den = _parse_ratio(re_text)
+    im_num, im_den = _parse_ratio(im_text)
+    return re_num * im_den, im_num * re_den, re_den * im_den
+
+
 def matrix_from_obj(obj: Any) -> Matrix:
     if not isinstance(obj, dict):
         raise ParseError("matrix object must be a JSON object")
@@ -73,9 +92,12 @@ def matrix_from_obj(obj: Any) -> Matrix:
         for cell in row:
             if not isinstance(cell, list) or len(cell) != 2:
                 raise ParseError("each scalar must be a [re, im] pair of strings")
-            re_num, re_den = _parse_ratio(cell[0])
-            im_num, im_den = _parse_ratio(cell[1])
-            parts.append((re_num * im_den, im_num * re_den, re_den * im_den))
+            try:
+                parts.append(_cell_parts(*cell))
+            except TypeError:  # a list or dict part is not hashable
+                _parse_ratio(cell[0])
+                _parse_ratio(cell[1])
+                raise
     return Matrix._from_parts(rows, cols, parts)
 
 
@@ -150,9 +172,16 @@ def corpus_from_obj(obj: Any) -> tuple[dict[str, Any], list[Quadruple]]:
     return dict(spec), [quadruple_from_obj(it) for it in instances]
 
 
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
+
+
 def dumps(obj: Any) -> str:
-    """Deterministic JSON text (sorted keys, no whitespace)."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """Deterministic JSON text (sorted keys, no whitespace): the text of
+    `json.dumps(obj, sort_keys=True, separators=(",", ":"))`. The encoder
+    skips the cycle check, so a value that contains itself raises
+    RecursionError, not ValueError; no tree this module builds, and none
+    `loads` returns, has a cycle."""
+    return _encode(obj)
 
 
 def dumps_pretty(obj: Any) -> str:

@@ -196,8 +196,9 @@ def _gmap(op, x, y):
 
 
 def _grid(flat, cols):
-    """Row-major flat sequence as a tuple of rows of length `cols`."""
-    return tuple(tuple(flat[k : k + cols]) for k in range(0, len(flat), cols))
+    """Row-major flat iterable, of a length that is a multiple of `cols`, as
+    a tuple of rows of length `cols`."""
+    return tuple(zip(*[iter(flat)] * cols))
 
 
 def _gzeros(rows, cols):

@@ -11,15 +11,13 @@ against `int` and `Fraction`), hashing, truth and printing, but no
 arithmetic. All arithmetic runs on the matrices' integer grids (see
 matrices.py), and the JSON codec reads and writes those grids directly
 (see jsonio.py). Rational strings, which arrive only in JSON (files the
-CLI reads included), are validated in one place, `_parse_ratio`, which
-memoizes the validation of each distinct string behind its type guard.
+CLI reads included), are validated in one place, `_parse_ratio`.
 """
 
 from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import ParseError
 
@@ -33,21 +31,9 @@ def _parse_ratio(text: str) -> tuple[int, int]:
     the pair not reduced; reject anything else.
 
     The one validator of rational strings: the JSON decoder reads through
-    it. The type guard stays outside the cache, so that a non-string (a
-    JSON list is not even hashable) is a ParseError.
+    it, and memoizes whole cells (`jsonio._cell_parts`).
     """
-    if not isinstance(text, str):
-        raise ParseError(f"malformed rational {text!r} (expected 'p' or 'p/q')")
-    return _ratio_of(text)
-
-
-# A corpus repeats few distinct strings: reading back perfbench's seed-0
-# corpus_transfer corpus parses 36720 strings, 365 of them distinct, so 99%
-# of the calls hit even a cold cache. Exceptions are not cached, so a
-# malformed string is rejected anew on every call.
-@lru_cache(maxsize=1024)
-def _ratio_of(text: str) -> tuple[int, int]:
-    if not _RATIONAL_RE.fullmatch(text):
+    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise ParseError(f"malformed rational {text!r} (expected 'p' or 'p/q')")
     num, _, den = text.partition("/")
     if den and not den.lstrip("0"):

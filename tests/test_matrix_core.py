@@ -22,6 +22,7 @@ from drazinlab import (
     rref,
     solve,
 )
+from drazinlab.matrices import _grid
 from util import (
     DIMS,
     RATIONALS,
@@ -181,3 +182,11 @@ def test_cancelled_imaginary_part_is_real(data):
     assert product == -as_matrix(g_mul(a, b))
     assert product.im is None
     assert hash(product) == hash(-as_matrix(g_mul(a, b)))
+
+
+@core
+@given(st.integers(1, 8), st.integers(1, 8), st.data())
+def test_grid_splits_a_flat_sequence_into_rows(rows, cols, data):
+    flat = data.draw(st.lists(st.integers(), min_size=rows * cols, max_size=rows * cols))
+    expected = tuple(tuple(flat[k : k + cols]) for k in range(0, rows * cols, cols))
+    assert _grid(flat, cols) == _grid(iter(flat), cols) == expected
