@@ -17,11 +17,18 @@ Families:
 * ``zero_padded_nilpotent`` -- a conjugated unipotent core forcing
   1-bd and 1-ac to be nilpotent of index >= 2 (the spectral-idempotent
   branch of the transfer formula goes live), padded by smaller blocks.
+  The core is a = u, b = u^-1 (1 - N) with N strictly upper triangular
+  and u a product of random shears I + k E_ij; u^-1 is built alongside
+  u from the inverse shears I - k E_ij, applied in reverse order as row
+  operations, so no elimination runs, and u u^-1 = I is checked.
 * ``block_diagonal_mix``    -- direct sums of instances from the other
   families.
 
 Every emitted quadruple is re-validated against the four conditions before
 it leaves this module; a failure is a generator bug, not a sampling miss.
+
+Random integers come from `_draws`, which gives `random.Random.randint`'s
+values from the same stream without its per-call overhead.
 """
 
 from __future__ import annotations
@@ -33,10 +40,11 @@ from .errors import GenerationExhaustedError, InternalInvariantError
 from .matrices import (
     MAX_SIZE,
     Matrix,
+    _geye,
+    _grid,
     _null_rows,
     _place_rows,
     block_diag,
-    inverse,
     rref,
     solve,
 )
@@ -91,55 +99,92 @@ def gen_family(spec: GeneratorSpec) -> list[Quadruple]:
 
 
 # -- random raw material -----------------------------------------------------
+#
+# The matrices below are built from their draws' ints straight into the
+# canonical form, `Matrix._make(1, grid, None)`, as `identity` and `zeros`
+# build theirs: a grid of ints over denominator 1 is already canonical.
 
 
-def _rand_matrix(n: int, rng: random.Random, lo: int = -3, hi: int = 3) -> Matrix:
-    return Matrix(n, n, (rng.randint(lo, hi) for _ in range(n * n)))
+def _draws(rng: random.Random, lo: int, hi: int, count: int) -> list[int]:
+    """`count` values of `rng.randint(lo, hi)`, from the same stream: as
+    CPython's `randint` does, each takes `getrandbits(k)`, k the bit
+    length of the width hi - lo + 1, until a value below the width comes."""
+    width = hi - lo + 1
+    k = width.bit_length()
+    getrandbits = rng.getrandbits
+    out = []
+    for _ in range(count):
+        r = getrandbits(k)
+        while r >= width:
+            r = getrandbits(k)
+        out.append(lo + r)
+    return out
+
+
+def _rand_matrix(rows: int, cols: int, rng: random.Random, lo: int = -3, hi: int = 3) -> Matrix:
+    """rows x cols matrix of draws in lo..hi, row-major."""
+    return Matrix._make(1, _grid(_draws(rng, lo, hi, rows * cols), cols), None)
+
+
+def _upper_grid(n: int, flat: list[int], k: int) -> tuple:
+    """n x n grid holding `flat`, row-major, on and above diagonal k (0 the
+    main one, 1 the first above it), and zeros below."""
+    rows, pos = [], 0
+    for i in range(n):
+        width = n - i - k
+        rows.append((0,) * (n - width) + tuple(flat[pos : pos + width]))
+        pos += width
+    return tuple(rows)
 
 
 def _rand_low_rank(n: int, rng: random.Random, max_rank: int | None = None) -> Matrix:
     r = rng.randint(0, n - 1 if max_rank is None else max_rank)
     if r == 0:
         return Matrix.zeros(n, n)
-    left = Matrix(n, r, (rng.randint(-2, 2) for _ in range(n * r)))
-    right = Matrix(r, n, (rng.randint(-2, 2) for _ in range(r * n)))
+    left = _rand_matrix(n, r, rng, -2, 2)
+    right = _rand_matrix(r, n, rng, -2, 2)
     return left * right
 
 
 def _rand_upper_triangular(n: int, rng: random.Random) -> Matrix:
-    return Matrix(
-        n, n, (rng.randint(-3, 3) if i <= j else 0 for i in range(n) for j in range(n))
-    )
+    return Matrix._make(1, _upper_grid(n, _draws(rng, -3, 3, n * (n + 1) // 2), 0), None)
 
 
-def _rand_unimodular(n: int, rng: random.Random) -> Matrix:
-    """Integer matrix (n >= 2) with integer inverse, built from a few shear operations."""
-    u = Matrix.identity(n)
+def _rand_unimodular(n: int, rng: random.Random) -> tuple[Matrix, Matrix]:
+    """(u, u^-1) for an integer matrix u (n >= 2) with integer inverse:
+    u is the product S_1 S_2 ... of 2n shears S = I + k E_ij, and u^-1
+    is ... S_2^-1 S_1^-1 with S^-1 = I - k E_ij. Each shear is applied
+    as it is drawn, as a column operation on u (column j += k column i)
+    and as a row operation on u^-1 (row i -= k row j)."""
+    u = [list(row) for row in _geye(n)]
+    u_inv = [list(row) for row in _geye(n)]
     for _ in range(2 * n):
         i, j = rng.sample(range(n), 2)
         k = rng.choice([-2, -1, 1, 2])
-        shear = [[1 if r == s else 0 for s in range(n)] for r in range(n)]
-        shear[i][j] = k
-        u = u * Matrix.from_rows(shear)
-    return u
+        for row in u:
+            row[j] += k * row[i]
+        u_inv[i] = [x - k * y for x, y in zip(u_inv[i], u_inv[j])]
+    u = Matrix._make(1, tuple(map(tuple, u)), None)
+    u_inv = Matrix._make(1, tuple(map(tuple, u_inv)), None)
+    if not (u * u_inv).is_identity():
+        raise InternalInvariantError("the shears' inverses failed u u^-1 = I")
+    return u, u_inv
 
 
 def _rand_nilpotent(n: int, rng: random.Random) -> Matrix:
     """Nonzero strictly upper triangular matrix (nilpotency index >= 2)."""
     while True:
-        m = Matrix(
-            n, n, (rng.randint(-2, 2) if i < j else 0 for i in range(n) for j in range(n))
-        )
-        if not m.is_zero():
-            return m
+        draws = _draws(rng, -2, 2, n * (n - 1) // 2)
+        if any(draws):
+            return Matrix._make(1, _upper_grid(n, draws, 1), None)
 
 
 # -- families ----------------------------------------------------------------
 
 
 def _gen_classic(n: int, rng: random.Random) -> Quadruple:
-    a = _rand_low_rank(n, rng, max_rank=n) if rng.random() < 0.3 else _rand_matrix(n, rng)
-    b = _rand_low_rank(n, rng, max_rank=n) if rng.random() < 0.3 else _rand_matrix(n, rng)
+    a = _rand_low_rank(n, rng, max_rank=n) if rng.random() < 0.3 else _rand_matrix(n, n, rng)
+    b = _rand_low_rank(n, rng, max_rank=n) if rng.random() < 0.3 else _rand_matrix(n, n, rng)
     return Quadruple(a, b, b, a)
 
 
@@ -147,7 +192,7 @@ def _gen_strong(n: int, rng: random.Random) -> Quadruple:
     for _ in range(MAX_ATTEMPTS):
         a = _rand_upper_triangular(n, rng)
         d = _rand_upper_triangular(n, rng)
-        b = _rand_matrix(n, rng, -2, 2)
+        b = _rand_matrix(n, n, rng, -2, 2)
         c = _solve_strong_for_c(a, b, d)
         if c is None:
             continue
@@ -181,10 +226,10 @@ def _solve_strong_for_c(a: Matrix, b: Matrix, d: Matrix) -> Matrix | None:
 
 def _gen_triple_lift(n: int, rng: random.Random) -> Quadruple:
     a = _rand_low_rank(n, rng)  # singular so that ker(a) gives room for c != b
-    b = _rand_matrix(n, rng)
+    b = _rand_matrix(n, n, rng)
     kernel = _null_rows(rref(a))
     # each column of K^T W is a combination of null vectors, so it stays in ker(a)
-    weights = Matrix(kernel.rows, n, (rng.randint(-2, 2) for _ in range(kernel.rows * n)))
+    weights = _rand_matrix(kernel.rows, n, rng, -2, 2)
     c = b + kernel.T * weights
     if a * c != a * b:
         raise InternalInvariantError("kernel perturbation escaped the kernel")
@@ -194,9 +239,9 @@ def _gen_triple_lift(n: int, rng: random.Random) -> Quadruple:
 def _gen_zero_padded_nilpotent(n: int, rng: random.Random) -> Quadruple:
     core = rng.randint(2, n)
     nil = _rand_nilpotent(core, rng)
-    u = _rand_unimodular(core, rng)
+    u, u_inv = _rand_unimodular(core, rng)
     a0 = u
-    b0 = inverse(u) * (Matrix.identity(core) - nil)
+    b0 = u_inv * (Matrix.identity(core) - nil)
     blocks = [Quadruple(a0, b0, b0, a0)]
     remaining = n - core
     while remaining:

@@ -13,6 +13,12 @@ memo and goes to `_parse_ratio` for its ParseError.
 A quadruple is `{"a": .., "b": .., "c": .., "d": ..}`; when "d" is absent
 the loader lifts the triple by setting d := a.
 
+An outcome's transferred "beta_drazin" data usually equal its "direct"
+data. When they do (value equality, whatever "agrees" says),
+`outcome_to_obj` encodes "direct" once and puts that one object under
+both keys: the text is that of two equal copies, the tree still holds no
+cycle, and editing the returned object in place edits both entries.
+
 A matrix side over `matrices.MAX_SIZE` is refused: exact elimination
 has no cost bound, so the input size bounds a command's run time.
 
@@ -132,10 +138,15 @@ def drazin_to_obj(data: DrazinData) -> dict[str, Any]:
 
 
 def outcome_to_obj(outcome: TransferOutcome) -> dict[str, Any]:
+    direct = drazin_to_obj(outcome.direct)
+    if outcome.beta_drazin == outcome.direct:
+        beta_drazin = direct
+    else:
+        beta_drazin = drazin_to_obj(outcome.beta_drazin)
     return {
         "beta": matrix_to_obj(outcome.beta),
-        "beta_drazin": drazin_to_obj(outcome.beta_drazin),
-        "direct": drazin_to_obj(outcome.direct),
+        "beta_drazin": beta_drazin,
+        "direct": direct,
         "agrees": outcome.agrees,
         "alpha_index": outcome.alpha_index,
         "beta_index": outcome.beta_index,

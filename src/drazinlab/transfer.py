@@ -95,6 +95,14 @@ class Quadruple:
         return self.b * self.d
 
     @cached_property
+    def entry_bits(self) -> int:
+        """Bit length of the longest integer in the four matrices' grids
+        and denominators, which `power_instance` bounds."""
+        # bit length grows with |v|, so the longest entry is the largest in size
+        entries = (chain((m.den,), *m.re, *(m.im or ())) for m in (self.a, self.b, self.c, self.d))
+        return max(map(abs, chain.from_iterable(entries))).bit_length()
+
+    @cached_property
     def alpha(self) -> Matrix:
         return Matrix.identity(self.size) - self.bd
 
@@ -350,9 +358,7 @@ def power_instance(q: Quadruple, n: int) -> Quadruple:
     """
     if not 1 <= n <= MAX_POWER:
         raise ValueError(f"power construction needs 1 <= n <= {MAX_POWER}")
-    # bit length grows with |v|, so the longest entry is the largest in size
-    entries = (chain((m.den,), *m.re, *(m.im or ())) for m in (q.a, q.b, q.c, q.d))
-    bits = max(map(abs, chain.from_iterable(entries))).bit_length()
+    bits = q.entry_bits
     if n * bits > MAX_POWER_BITS:
         raise ValueError(f"power construction needs n * {bits} entry bits <= {MAX_POWER_BITS}")
     _require_conditions(q)

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from drazinlab import (
@@ -12,12 +12,15 @@ from drazinlab import (
     check_strong_conditions,
     drazin,
     index_of,
+    inverse,
     rank,
 )
 from drazinlab.generators import (
     FAMILIES,
     MAX_SIZE,
     GeneratorSpec,
+    _draws,
+    _rand_unimodular,
     _solve_strong_for_c,
     counterexample_instance,
     gen_family,
@@ -31,6 +34,7 @@ from util import (
     strong_c_reference,
     strong_reference,
     triple_lift_reference,
+    unimodular_reference,
 )
 
 
@@ -227,3 +231,38 @@ def test_strong_solve_checks_r(monkeypatch):
     a = Matrix.from_rows([[1, 2], [0, 1]])
     with pytest.raises(InternalInvariantError, match="N\\^T R"):
         _solve_strong_for_c(a, a, a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.integers(-5, 5), st.integers(1, 40), st.integers(0, 60))
+@example(seed=0, lo=0, width=1, count=5)  # getrandbits(1) per draw, always 0 kept
+@example(seed=3, lo=-2, width=4, count=40)  # a power of two: k = 3, not 2
+@example(seed=3, lo=-3, width=7, count=40)  # the generators' widths
+@example(seed=3, lo=-2, width=5, count=40)
+def test_draws_replay_randint_property(seed, lo, width, count):
+    """`_draws` gives `randint`'s values and leaves the stream where
+    `randint` leaves it."""
+    hi = lo + width - 1
+    rng, reference = random.Random(seed), random.Random(seed)
+    assert _draws(rng, lo, hi, count) == [reference.randint(lo, hi) for _ in range(count)]
+    assert rng.getstate() == reference.getstate()
+
+
+@pytest.mark.parametrize("n", range(2, MAX_SIZE + 1))
+def test_unimodular_matches_the_product_of_shear_matrices(n):
+    """u is the product of the drawn shear matrices, u^-1 its inverse, and
+    both consume the stream alike."""
+    for seed in range(40):
+        rng, reference = random.Random(seed), random.Random(seed)
+        u, u_inv = _rand_unimodular(n, rng)
+        assert u == unimodular_reference(n, reference)
+        assert rng.getstate() == reference.getstate()
+        assert (u * u_inv).is_identity() and (u_inv * u).is_identity()
+        assert u_inv == inverse(u)
+
+
+def test_unimodular_checks_its_inverse(monkeypatch):
+    """A wrong start for both products, here 2I, fails u u^-1 = I."""
+    monkeypatch.setattr(generators, "_geye", lambda n: ((2, 0), (0, 2)))
+    with pytest.raises(InternalInvariantError, match="u u\\^-1 = I"):
+        _rand_unimodular(2, random.Random(0))

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -167,6 +168,38 @@ def test_dumps_matches_the_stdlib_on_corpora_and_outcomes():
                 assert jsonio.dumps(obj) == stdlib_dumps(obj)
 
 
+def _outcome_obj_reference(outcome):
+    """The outcome object with every field encoded on its own."""
+    return {
+        "beta": jsonio.matrix_to_obj(outcome.beta),
+        "beta_drazin": jsonio.drazin_to_obj(outcome.beta_drazin),
+        "direct": jsonio.drazin_to_obj(outcome.direct),
+        "agrees": outcome.agrees,
+        "alpha_index": outcome.alpha_index,
+        "beta_index": outcome.beta_index,
+    }
+
+
+@pytest.mark.parametrize("differing", [None, "dinv", "index", "spectral_idempotent"])
+def test_outcome_obj_encodes_equal_drazin_data_once(differing):
+    """Equal beta_drazin and direct data share one encoded object; data
+    that differ in any one field are encoded apart. Either way the text is
+    that of the outcome encoded field by field."""
+    (q,) = gen_family(GeneratorSpec("zero_padded_nilpotent", 3, seed=1, count=1))
+    outcome = transfer_drazin(q)
+    assert outcome.beta_drazin == outcome.direct
+    assert outcome.direct.index >= 1 and not outcome.direct.spectral_idempotent.is_zero()
+    if differing is not None:
+        value = getattr(outcome.direct, differing)
+        changed = value + 1 if differing == "index" else value.scale(2)
+        outcome = replace(outcome, beta_drazin=replace(outcome.direct, **{differing: changed}))
+    obj = jsonio.outcome_to_obj(outcome)
+    assert (obj["beta_drazin"] is obj["direct"]) == (differing is None)
+    expected = _outcome_obj_reference(outcome)
+    assert jsonio.dumps(obj) == jsonio.dumps(expected) == stdlib_dumps(obj)
+    assert jsonio.dumps_pretty(obj) == jsonio.dumps_pretty(expected)
+
+
 def test_dumps_of_a_value_that_contains_itself_raises():
     """`dumps` skips the cycle check, so the recursion limit ends a cycle."""
     items = [1]
@@ -179,8 +212,35 @@ def test_dumps_of_a_value_that_contains_itself_raises():
 
 
 # sha256 of the output of `drazinlab gen --family F --size N --count 3 --seed 11`
-# for the benchmark's five families at the sizes its digests do not reach.
+# for the benchmark's five families at every size from 2 to MAX_SIZE: sizes 7
+# and 8 are the ones the benchmark's digests do not reach, and sizes 2 to 6
+# pin each family's random stream without running the benchmark.
 GEN_SHA256 = {
+    ("classic", 2): "98274f595265884074ddc5b458fca9ceb7010e3ece73d0b024123edf3ef05f7f",
+    ("strong", 2): "48a143f6d3749194d1dfc0f94d30e47c389c1591ee95addf6d0cfad2ef760a1c",
+    ("triple_lift", 2): "c21ff2c018d2019b558cde145b722a0cf828aae138b33f17419de9f4de2d8dec",
+    ("zero_padded_nilpotent", 2): "f99dbff93259946feaffdd3e5970462cd92cf035724818cb4f955d7f913afc9f",
+    ("block_diagonal_mix", 2): "366fa5ba4518ea0070dbf625be28247520562ea477389b332e572eafe3c24c66",
+    ("classic", 3): "6233d7caaaa923ade6281974f84ca1407e67a4b5c4335f8b8c1091b79dead0df",
+    ("strong", 3): "93cf80ed6e2e90883bf173de28c64bed949809282c26e0449f28cdb229dd6a21",
+    ("triple_lift", 3): "e9d0cba78ac6c57d2cde5c21efae1fad16a8d5749165430a67ac880cdb97d032",
+    ("zero_padded_nilpotent", 3): "12c9e3e802b93bc79332f15f25710d259773441ac7ac671ce7fa4eb4efaa6d04",
+    ("block_diagonal_mix", 3): "fd79d338b16ca9991f7affcc722a8ba9eea6c7898d98568d62264ab813ba6899",
+    ("classic", 4): "9609938cedbcc381420b3595fed153c29bd54bfe9750c731177e55e40362a46e",
+    ("strong", 4): "4ca7af233d2f054736c2ee001441b0fbb603d9d873f6ae763f45e7a6e9752de1",
+    ("triple_lift", 4): "4c7692754198c9a0ea676ffce044a8ea912f2e17f6850758425eb0fb0bc48962",
+    ("zero_padded_nilpotent", 4): "eaa543c1bab3c0e4e32d24914296c9a193476859f273d1ea91faa317f8e76411",
+    ("block_diagonal_mix", 4): "78fd6fcfa968c4b726810fac6a12e2c0b0172cf2a7134cd93adfe88c58d3e51a",
+    ("classic", 5): "2a27558f1260662930bd424d0d9e8b5ee6938f1db113546b04c13062683e15e9",
+    ("strong", 5): "e6684aed524a9a554638e737d805fed1703054b79e336974da0375973fa6f241",
+    ("triple_lift", 5): "f36f3d0d95e4794c2a9ce0bae9165083d54bbf77a9d68bd64074e17dd465ed09",
+    ("zero_padded_nilpotent", 5): "b4309172bebe8e83d1ad653ec3c4ec63ca0ea098e96831f966dcc37d44576471",
+    ("block_diagonal_mix", 5): "5ecec2220fb65ee0bbca9c63d5d76ab1d2371680fe91931d97f65e9a618a64d2",
+    ("classic", 6): "9ae1c7bb329096cd456a1975a693fd2eccfc31860afe7eb77a7f9dbbf2e3aee2",
+    ("strong", 6): "067d32eee3834fa58b99470390c47e397596504eb9287beedcb9f34f23509a1b",
+    ("triple_lift", 6): "9b638e72f56c8a789322992eb6b301f29258ddf8867debcfc0b1f80803361e59",
+    ("zero_padded_nilpotent", 6): "2ba213e8467a3c5974ed1ac134e4d399b32ed1f70011c2437a6c531b02abeba8",
+    ("block_diagonal_mix", 6): "454a513f38182835a976431c323349c343feeb4b01b607a713aa0e17e00a4c8d",
     ("classic", 7): "2a1bc49083085d1ee3a03040f9dec655c32c49bafb982a37463f2a80a76e61f7",
     ("strong", 7): "844d8864eec4a89da2a73eb362d7d2e0685dd17d8a4eaff5f210371c75a4dc3c",
     ("triple_lift", 7): "c728328813a7dce59af48212daa9b7557d2a6b435b814d759d364ee11be4c52f",
@@ -196,6 +256,7 @@ GEN_SHA256 = {
 
 @pytest.mark.parametrize("family, size", sorted(GEN_SHA256))
 def test_gen_output_bytes_at_sizes_7_and_8(family, size, capsys):
+    """The recorded bytes of every family and size in GEN_SHA256."""
     argv = ["gen", "--family", family, "--size", str(size), "--count", "3", "--seed", "11"]
     assert cli.main(argv) == 0
     out = capsys.readouterr().out

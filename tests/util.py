@@ -315,6 +315,20 @@ def strong_reference(n: int, rng: random.Random) -> Quadruple | None:
     return None
 
 
+def unimodular_reference(n: int, rng: random.Random) -> Matrix:
+    """The product S_1 S_2 ... S_2n of shear matrices S = I + k E_ij, each
+    formed as a matrix and multiplied in, with (i, j) and k drawn as
+    `generators._rand_unimodular` draws them: the reference for its u."""
+    u = Matrix.identity(n)
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2)
+        k = rng.choice([-2, -1, 1, 2])
+        shear = imat_eye(n)
+        shear[i][j] = k
+        u = u * as_matrix(shear)
+    return u
+
+
 def triple_lift_reference(n: int, rng: random.Random) -> Quadruple:
     """One `triple_lift` quadruple from the generator's draws, with c = b
     plus one rank-one term v w per vector v of `null_space_basis(a)`, w a
