@@ -11,8 +11,8 @@ from .errors import (
     ShapeError,
     SingularMatrixError,
 )
-from .scalars import GaussianRational
 from .matrices import (
+    GaussianRational,
     Matrix,
     block_diag,
     inverse,

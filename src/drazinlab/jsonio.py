@@ -3,13 +3,15 @@
 A matrix is `{"rows": n, "cols": m, "entries": [[["re","im"], ...], ...]}`
 with each scalar a pair of rational strings ("-3/2", integers as "4").
 The codec works on the matrix's integer grids: encoding writes each
-entry (v / den) in lowest terms, the text `str(Fraction)` would give, and
-decoding validates each string with `scalars._parse_ratio` and builds the
-grids from the integer parts in one step. No per-entry `Fraction` or
-`GaussianRational` is made on either side. Decoding memoizes each
-distinct `[re, im]` cell (`_cell_parts`), so a corpus's repeated cells
-are parsed once per process; a cell with an unhashable part misses the
-memo and goes to `_parse_ratio` for its ParseError.
+entry (v / den) in lowest terms with `_ratio_text`, the text
+`str(Fraction)` would give, and decoding validates each string with
+`_parse_ratio` and builds the grids from the integer parts in one step.
+This pair is the only code that knows the rational text format. No
+per-entry `Fraction` or `GaussianRational` is made on either side.
+Decoding memoizes each distinct `[re, im]` cell (`_cell_parts`), so a
+corpus's repeated cells are parsed once per process; a cell with an
+unhashable part misses the memo and goes to `_parse_ratio` for its
+ParseError.
 A quadruple is `{"a": .., "b": .., "c": .., "d": ..}`; when "d" is absent
 the loader lifts the triple by setting d := a.
 
@@ -33,6 +35,7 @@ have just built or that `loads` returned, and neither can hold a cycle.
 from __future__ import annotations
 
 import json
+import re
 from functools import lru_cache
 from math import gcd
 from typing import Any
@@ -40,8 +43,31 @@ from typing import Any
 from .drazin import DrazinData
 from .errors import ParseError
 from .matrices import MAX_SIZE, Matrix
-from .scalars import _parse_ratio
 from .transfer import ConditionReport, Quadruple, TransferOutcome
+
+
+# ASCII digits only: `\d` would also admit other scripts' digits, which int()
+# reads but the zero-denominator test below does not recognise as zeros.
+_RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?", re.ASCII)
+
+
+def _parse_ratio(text: str) -> tuple[int, int]:
+    """(num, den) of a rational string like '-3/2' or '4', with den > 0 and
+    the pair not reduced; reject anything else.
+
+    The one validator of rational strings, the reader of the text that
+    `_ratio_text` writes: the decoder reads through it, and memoizes whole
+    cells (`_cell_parts`).
+    """
+    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
+        raise ParseError(f"malformed rational {text!r} (expected 'p' or 'p/q')")
+    num, _, den = text.partition("/")
+    if den and not den.lstrip("0"):
+        raise ParseError(f"zero denominator in {text!r}")
+    try:
+        return int(num), int(den) if den else 1
+    except ValueError as exc:  # more digits than int() converts
+        raise ParseError(f"rational too long ({len(text)} characters): {exc}") from exc
 
 
 def _ratio_text(v: int, den: int) -> str:

@@ -66,11 +66,16 @@ caps compile time and memory (a 16x16x16 product kernel compiles in about
 raises RecursionError on a `+` chain a few thousand terms long.
 
 `GaussianRational` is the scalar only at the API boundary: the constructor,
-`entry`, `to_rows` and `scale`'s argument. It has no arithmetic of its own,
-and `*` is the matrix product only: `scale` is the one path for a scalar
-multiple. `_make(den, re, im)` is the one function that writes a matrix's
-slots, in canonical form: it drops an all-zero imaginary grid, divides out
-the gcd and makes `den` positive. `copy` and `pickle` reach it through
+`entry`, `to_rows` and `scale`'s argument. Its constructor is the one entry
+rule for outside scalars: int (bool included) and `Fraction` parts pass,
+anything else, a float or a string included, raises TypeError, and
+`_scalar_ints` reads every entry that is not a plain int through it. It has
+no arithmetic of its own, and `*` is the matrix product only: `scale` is the
+one path for a scalar multiple.
+
+`_make(den, re, im)` is the one function that writes a matrix's slots, in
+canonical form: it drops an all-zero imaginary grid, divides out the gcd
+and makes `den` positive. `copy` and `pickle` reach it through
 `__reduce__`, and `Matrix(rows, cols, entries)` and the JSON codec through
 `_from_parts`, which aligns row-major integer (re, im, den) triples over
 their lcm, rescaling only when it is not 1. Matrices are immutable, so
@@ -87,19 +92,63 @@ from operator import add, floordiv, mul, sub
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InternalInvariantError, ShapeError, SingularMatrixError
-from .scalars import GaussianRational
+
+
+def _fraction(part) -> Fraction:
+    if not isinstance(part, (int, Fraction)):  # bool is an int
+        raise TypeError(f"cannot use {type(part).__name__} as a matrix entry")
+    return Fraction(part)
+
+
+class GaussianRational:
+    """Exact complex scalar re + im i with `Fraction` parts.
+
+    `Fraction` keeps each part in lowest terms with a positive denominator,
+    so equality is structural and needs no tolerance. A boundary value, not
+    a number type: equality (also against int and Fraction), hashing, truth
+    and printing, but no arithmetic. Immutable by convention.
+    """
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        self.re = re if type(re) is Fraction else _fraction(re)
+        self.im = im if type(im) is Fraction else _fraction(im)
+
+    def __bool__(self) -> bool:
+        return bool(self.re) or bool(self.im)
+
+    def __eq__(self, other):
+        if isinstance(other, GaussianRational):
+            return self.re == other.re and self.im == other.im
+        if isinstance(other, (int, Fraction)):
+            return self.re == other and not self.im
+        return NotImplemented
+
+    def __hash__(self):
+        # a real value equals its real part, so it must hash like it too
+        return hash((self.re, self.im)) if self.im else hash(self.re)
+
+    def __repr__(self):
+        return f"GaussianRational({self.re!r}, {self.im!r})"
+
+    def __str__(self):
+        if not self.im:
+            return str(self.re)
+        im = "i" if self.im == 1 else "-i" if self.im == -1 else f"{self.im}i"
+        if not self.re:
+            return im
+        sign = "+" if self.im > 0 else ""
+        return f"{self.re}{sign}{im}"
 
 
 def _scalar_ints(value) -> tuple[int, int, int]:
     """(re, im, den) integers with value == (re + im i) / den, den > 0."""
     if type(value) is int:
         return value, 0, 1
-    if isinstance(value, GaussianRational):
-        re, im = value.re, value.im
-    elif isinstance(value, (int, Fraction)):
-        re, im = value, 0
-    else:
-        raise TypeError(f"cannot use {type(value).__name__} as a matrix entry")
+    if not isinstance(value, GaussianRational):
+        value = GaussianRational(value)
+    re, im = value.re, value.im
     den = lcm(re.denominator, im.denominator)
     return (
         re.numerator * (den // re.denominator),

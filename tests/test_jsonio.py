@@ -16,7 +16,7 @@ from drazinlab.generators import (
     counterexample_instance,
     gen_family,
 )
-from drazinlab.scalars import _parse_ratio
+from drazinlab.jsonio import _parse_ratio
 from util import DIMS, as_matrix, grids, matrix_obj_reference
 
 

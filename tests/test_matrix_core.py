@@ -5,6 +5,7 @@ denominators, real-only and complex draws, and low-rank products so that
 elimination meets zero pivots and free columns.
 """
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,7 @@ from util import (
     DIMS,
     RATIONALS,
     ZERO,
+    as_matrix,
     g_add,
     g_mul,
     g_rref,
@@ -38,10 +40,6 @@ from util import (
 )
 
 core = settings(max_examples=80, deadline=None)
-
-
-def as_matrix(rows):
-    return Matrix.from_rows(rows)
 
 
 @core
@@ -80,16 +78,23 @@ ENTRIES = st.one_of(
 @given(st.data())
 def test_constructor_matches_reference(data):
     """Mixed int, bool, Fraction and GaussianRational entries, and all-int
-    ones, which give the integer form with no imaginary grid."""
+    ones, which give the integer form with no imaginary grid. Any other
+    scalar is refused alike as an entry and as a GaussianRational part."""
     n, m = data.draw(DIMS), data.draw(DIMS)
     for cell in (ENTRIES, st.integers(-9, 9)):
         values = data.draw(st.lists(cell, min_size=n * m, max_size=n * m))
         built = Matrix(n, m, values)
         assert (built.den, built.re, built.im) == parts_reference(m, values)
     assert built.den == 1 and built.im is None
-    for bad in (1.0, "1"):
-        with pytest.raises(TypeError):
-            Matrix(n, m, values[:-1] + [bad])
+    for bad in (1.0, "1", Decimal("0.5"), complex(1, 0), "1e3"):
+        for build in (
+            lambda: Matrix(n, m, values[:-1] + [bad]),
+            lambda: GaussianRational(bad),
+            lambda: GaussianRational(0, bad),
+            lambda: Matrix.from_rows([[bad]]),
+        ):
+            with pytest.raises(TypeError):
+                build()
     for count in (n * m - 1, n * m + 1):
         with pytest.raises(ShapeError):
             Matrix(n, m, [1] * count)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from drazinlab import GaussianRational, ParseError
-from drazinlab.scalars import _parse_ratio
+from drazinlab.jsonio import _parse_ratio
 
 
 def test_canonical_form():

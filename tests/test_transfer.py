@@ -617,6 +617,36 @@ def test_every_01_2x2_quadruple_through_transfer_drazin():
         assert oracle_drazin(m) == drazin(m)
 
 
+def test_size_2_proposition_on_seeded_pm1_quadruples():
+    # README's size-2 proposition: over a field, a 2x2 quadruple that holds
+    # the four conditions with 1 - bd singular holds the strong premise.
+    # Uniform draws with entries in {-1, 0, 1} hold the conditions about
+    # once in 40, so a seeded loop filters them with plain-int products and
+    # the library re-checks each singular case
+    rng = random.Random(0)
+    zero = (0, 0, 0, 0)
+    held = singular = 0
+    for _ in range(20000):
+        flat = [rng.choice((-1, 0, 1)) for _ in range(16)]
+        a, b, c, d = (tuple(flat[k:k + 4]) for k in range(0, 16, 4))
+        ac, db = _mul2(a, c), _mul2(d, b)
+        e = tuple(x - y for x, y in zip(ac, db))
+        if not (_mul2(e, ac) == _mul2(e, db) == _mul2(_mul2(b, e), a) == _mul2(_mul2(c, e), d)
+                == zero):
+            continue
+        held += 1
+        bd = _mul2(b, d)
+        if (1 - bd[0]) * (1 - bd[3]) != bd[1] * bd[2]:
+            continue
+        singular += 1
+        assert _mul2(e, d) == _mul2(e, a) == zero
+        q = Quadruple(*(as_matrix([m[:2], m[2:]]) for m in (a, b, c, d)))
+        assert check_conditions(q).all_hold and rank(q.alpha) < 2
+        assert check_strong_conditions(q.a, q.b, q.c, q.d).all_hold
+    assert singular >= 50  # not vacuous
+    assert (held, singular) == (523, 88)
+
+
 def test_transfer_group_on_index_one_instances():
     # alpha = 1 - bd is made a conjugated rank-1 idempotent, so its index
     # is exactly 1 and the group transfer must go through.
