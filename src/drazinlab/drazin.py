@@ -1,13 +1,13 @@
 """Drazin and group inverses, spectral idempotents, and the commutant.
 
 Two independent exact algorithms are provided on purpose: `drazin` reads
-A^D off one solve with a high power, `oracle_drazin` goes through the
-core-nilpotent splitting. They must agree entrywise on every input; a
-disagreement is a kernel bug, never a property of the input. Each finds
-the index its own way, so the indices cross-check too: `drazin` by the rank
-sequence of the powers, which reads only pivots and so eliminates each
-power forward only (`pivot_columns`); `oracle_drazin` as the nilpotency
-index of the nilpotent block of its splitting.
+A^D off one solve with a high power, `oracle_drazin` off Cline's chain of
+full-rank factorizations, which forms no power. They must agree entrywise
+on every input; a disagreement is a kernel bug, never a property of the
+input. Each finds the index its own way, so the indices cross-check too:
+`drazin` by the rank sequence of the powers, which reads only pivots and
+so eliminates each power forward only (`pivot_columns`); `oracle_drazin`
+as the length of its chain.
 
 A Drazin inverse lies in the double commutant of its matrix (Drazin 1958,
 Amer. Math. Monthly 65). `commutant_basis` returns the null-space basis
@@ -67,7 +67,8 @@ def index_of(a: Matrix) -> int:
 
 
 def nilpotency_index(a: Matrix) -> int:
-    """Smallest m >= 1 with a^m = 0; raises if a is not nilpotent."""
+    """Smallest m >= 1 with a^m = 0; raises if a is not nilpotent. No
+    library path calls it; it stays in the API for the acceptance criteria."""
     _require_square(a, "nilpotency index")
     power = a
     for m in range(1, a.rows + 1):
@@ -121,46 +122,38 @@ def group_inverse(a: Matrix) -> Matrix:
 
 
 def oracle_drazin(a: Matrix) -> DrazinData:
-    """Independent Drazin computation via the core-nilpotent splitting.
+    """Independent Drazin computation by Cline's rank-factorization chain.
 
-    An invertible a (full rank, one forward elimination) is its own core.
-    Otherwise the split is taken at a^n, since n >= index: columns of a^n
-    spanning its column space and a basis of its null space are glued into
-    a change of basis P; then P^-1 a P is block diagonal with an invertible
-    core C and a nilpotent tail N, the index is the nilpotency index of N
-    (Ben-Israel and Greville, Generalized Inverses, 2003), and
-    A^D = P diag(C^-1, 0) P^-1 = P[:, :r] C^-1 P^-1[:r, :], r = rank(a^n).
-    a^n is reduced once, for its rank, pivot columns and kernel, and P is
-    eliminated once, for its inverse, whose failure means the two spaces do
-    not complement. No rank sequence is run.
+    A singular m factors at full rank as m = B C from one rref(m): B is the
+    pivot columns of m and C the nonzero rows of rref(m). Cline's formula
+    (BC)^D = B((CB)^D)^2 C moves the question to CB, which is
+    rank(m) x rank(m). So the chain m_0 = a = B_1 C_1, m_j = C_j B_j has
+    sizes rank(a^j), and it stops at the first m_k that is invertible,
+    where k is the index and A^D = B_1...B_k m_k^-(k+1) C_k...C_1, or that
+    is zero, where the index is k + 1 and A^D = 0 (Cline, SIAM J. Numer.
+    Anal. 5, 1968; Ben-Israel and Greville, Generalized Inverses, ch. 4).
+    One forward elimination tests each m for full rank. The sizes fall, so
+    the chain ends within n steps, and the last m is the one matrix
+    inverted.
     """
     _require_square(a, "Drazin inverse")
     n = a.rows
-    if len(pivot_columns(a)) == n:
-        return DrazinData(inverse(a), 0, Matrix.zeros(n, n))
-    an = a**n
-    reduced = rref(an)
-    _, r, pivots = reduced
-    # a is singular, so r < n: the kernel and the nilpotent tail are never empty
-    kernel = _null_rows(reduced).T
-    p = an.take_columns(pivots).hstack(kernel) if r else kernel
+    m, left, right, k = a, Matrix.identity(n), Matrix.identity(n), 0
+    while (r := len(pivot_columns(m))) < m.rows:
+        if not r:
+            return DrazinData(Matrix.zeros(n, n), k + 1, Matrix.identity(n))
+        reduced, rank_m, pivots = rref(m)
+        if rank_m != r:
+            raise InternalInvariantError("rref and pivot_columns disagree on the rank")
+        b, c = m.take_columns(pivots), reduced.take_rows(range(r))
+        m, left, right, k = c * b, left * b, c * right, k + 1
     try:
-        p_inv = inverse(p)
+        core = inverse(m)
     except SingularMatrixError as exc:
-        raise InternalInvariantError("range and kernel of a^n do not complement") from exc
-    m = p_inv * a * p
-    for g in (m.re, m.im or ()):
-        if any(map(any, (row[r:] for row in g[:r]))) or any(map(any, (row[:r] for row in g[r:]))):
-            raise InternalInvariantError("similarity did not block-diagonalize")
-    try:
-        k = nilpotency_index(m.take_rows(range(r, n)).take_columns(range(r, n)))
-    except ValueError as exc:
-        raise InternalInvariantError("tail block is not nilpotent") from exc
-    if r:
-        core = m.take_rows(range(r)).take_columns(range(r))
-        dinv = p.take_columns(range(r)) * inverse(core) * p_inv.take_rows(range(r))
-    else:
-        dinv = Matrix.zeros(n, n)
+        raise InternalInvariantError("the chain ended at a singular core") from exc
+    if not k:
+        return DrazinData(core, 0, Matrix.zeros(n, n))
+    dinv = left * core ** (k + 1) * right
     return DrazinData(dinv, k, Matrix.identity(n) - a * dinv)
 
 

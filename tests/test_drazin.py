@@ -14,6 +14,7 @@ from drazinlab import (
     block_diag,
     NoGroupInverseError,
     ShapeError,
+    SingularMatrixError,
     drazin,
     commutant_basis,
     group_inverse,
@@ -292,34 +293,54 @@ def test_self_check_rejects_a_candidate_breaking_one_equation(x, message):
         drazin_module._verify_drazin(a, x, ax, a)
 
 
-def test_oracle_eliminates_the_power_and_the_basis_change_once(monkeypatch):
-    a = as_matrix([[2, 1, 0], [0, 0, 1], [0, 0, 0]])  # index 2, rank(a^2) = 1
-    a2 = a * a
-    a3 = a2 * a
+def test_oracle_factors_down_a_chain_of_falling_size(monkeypatch):
+    a = as_matrix([[2, 1, 0], [0, 0, 1], [0, 0, 0]])  # index 2, rank(a^k) = 3, 2, 1
+    powers = [a * a, a * a * a]
+    expected = drazin(a).dinv
+    products = []
+    mul = Matrix.__mul__
+
+    def recording_mul(x, y):
+        products.append(mul(x, y))
+        return products[-1]
+
+    monkeypatch.setattr(Matrix, "__mul__", recording_mul)
     rrefs = record_calls(monkeypatch, "drazinlab.matrices", "rref")
     forward = record_calls(monkeypatch, "drazinlab.matrices", "pivot_columns")
-    ranks = record_calls(monkeypatch, "drazinlab.matrices", "rank")
     inverses = record_calls(monkeypatch, "drazinlab.matrices", "inverse")
     data = oracle_drazin(a)
-    assert data.index == 2
-    # one forward pass tells a singular; no rank sequence runs, and the
-    # split is taken at a^n = a^3, reduced once: the index is read off the
-    # nilpotent tail, so a^2 is never eliminated
-    assert forward == [(a,)] and ranks == []
-    assert rrefs[0] == (a3,) and rrefs.count((a3,)) == 1
-    assert (a2,) not in rrefs + forward
-    assert len(rrefs) == 3  # a^3, then [P | I] and [core | I] for the inverses
-    assert [m.rows for (m,) in inverses] == [3, 1]  # P once, then the 1x1 core
+    assert data.index == 2 and data.dinv == expected
+    # no power of a is formed or eliminated: a and the 2x2 m_1 = C B are
+    # each tested forward and factored by one rref, and the 1x1 m_2 is
+    # tested forward and is the only matrix inverted (rref of [m_2 | I])
+    assert not any(m in powers for m in products + [m for (m,) in rrefs + forward])
+    assert [m.rows for (m,) in forward] == [3, 2, 1]
+    assert [m.rows for (m,) in rrefs] == [3, 2, 1]
+    assert forward[0] == rrefs[0] == (a,)
+    assert [m.rows for (m,) in inverses] == [1]
 
 
-def test_oracle_reports_a_tail_that_is_not_nilpotent(monkeypatch):
-    # nilpotency_index's ValueError is a kernel fault of the splitting
-    def not_nilpotent(m):
-        raise ValueError("matrix is not nilpotent")
+def test_oracle_reports_kernel_faults(monkeypatch):
+    a = as_matrix([[2, 1, 0], [0, 0, 1], [0, 0, 0]])
+    rref = drazin_module.rref
 
-    monkeypatch.setattr(drazin_module, "nilpotency_index", not_nilpotent)
-    with pytest.raises(InternalInvariantError, match="tail block is not nilpotent"):
-        oracle_drazin(J2)
+    def full_rank(m):
+        reduced, _, _ = rref(m)
+        return reduced, m.rows, tuple(range(m.rows))
+
+    def singular(m):
+        raise SingularMatrixError("injected")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(drazin_module, "rref", full_rank)
+        with pytest.raises(InternalInvariantError, match="rref and pivot_columns disagree"):
+            oracle_drazin(a)
+    # the index-0 shortcut and the chain's last step share the one inverse
+    for m in (a, Matrix.identity(2)):
+        with monkeypatch.context() as patch:
+            patch.setattr(drazin_module, "inverse", singular)
+            with pytest.raises(InternalInvariantError, match="chain ended at a singular core"):
+                oracle_drazin(m)
 
 
 def jordan_block(size, eigenvalue):
@@ -336,6 +357,11 @@ def partitions(m, largest=None):
     for part in range(min(m, largest or m), 0, -1):
         for rest in partitions(m - part, part):
             yield (part,) + rest
+
+
+def diag(entries):
+    return Matrix.from_rows([[x if i == j else 0 for j in range(len(entries))]
+                             for i, x in enumerate(entries)])
 
 
 def shear_conjugator(rng, n, weights):
@@ -361,16 +387,24 @@ def test_planted_index_on_both_routes(n):
     # max(k) and A^D = S diag(0, J_(n-m)(lam)^-1) S^-1 by construction, an
     # answer neither route supplies. Every partition (k1, ..., kt) of every
     # nilpotent size m = 1..n with integer shears and lam = 2, then one
-    # Gaussian-shear case per index k with lam = 1 + i
+    # Gaussian-shear case per index k with lam = 1 + i, then one case per
+    # index k with lam = 3 whose S is diag(1, 1/2, 3, 1/4, ...) times
+    # integer shears, so that both routes meet a denominator at every index
+    # (with lam = 2, S diag(0, 2) S^-1 is even and the 1/2 cancels at n = 2)
     rng = random.Random(n)
-    cases = [(ks, 2, [(w, 0) for w in (-2, -1, 1, 2)])
-             for m in range(1, n + 1) for ks in partitions(m)]
-    cases += [((k,), GaussianRational(1, 1), [(1, 1), (0, -1), (2, 0)]) for k in range(1, n + 1)]
-    for ks, lam, weights in cases:
+    integer, gaussian = [(w, 0) for w in (-2, -1, 1, 2)], [(1, 1), (0, -1), (2, 0)]
+    ones = [1] * n
+    scales = [Fraction(1, i + 1) if i % 2 else i + 1 for i in range(n)]
+    cases = [(ks, 2, integer, ones) for m in range(1, n + 1) for ks in partitions(m)]
+    cases += [((k,), GaussianRational(1, 1), gaussian, ones) for k in range(1, n + 1)]
+    cases += [((k,), 3, integer, scales) for k in range(1, n + 1)]
+    for ks, lam, weights, diagonal in cases:
         s, s_inv = shear_conjugator(rng, n, weights)
+        s, s_inv = diag(diagonal) * s, s_inv * diag([1 / Fraction(x) for x in diagonal])
         m = sum(ks)
         blocks = [jordan_block(k, 0) for k in ks] + ([jordan_block(n - m, lam)] if m < n else [])
         a = s * block_diag(*blocks) * s_inv
+        assert (a.den != 1) == (diagonal is scales), ks
         expected = Matrix.zeros(n, n)
         if m < n:
             expected = s * block_diag(Matrix.zeros(m, m), inverse(blocks[-1])) * s_inv

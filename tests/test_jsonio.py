@@ -373,3 +373,35 @@ def test_non_canonical_strings_examples():
     spelled = {"rows": 1, "cols": 3, "entries": [[["004/006", "+7"], ["+7", "-0"], ["-0", "-2/2"]]]}
     assert jsonio.matrix_from_obj(spelled) == jsonio.matrix_from_obj(canonical)
     assert jsonio.matrix_to_obj(jsonio.matrix_from_obj(spelled)) == canonical
+
+
+def test_parse_rational_accepts():
+    assert _parse_ratio("4") == (4, 1)
+    assert _parse_ratio("-3/2") == (-3, 2)
+    assert _parse_ratio("+7") == (7, 1)
+    assert _parse_ratio("0") == (0, 1)
+    assert _parse_ratio("004/006") == (4, 6)  # validated, not reduced
+
+
+# int() reads a trailing newline and non-ASCII digits, so the validator must
+# reject them itself: otherwise "1/0\n" and Arabic-Indic "1/0" reach a zero
+# denominator.
+@pytest.mark.parametrize(
+    "bad",
+    ["1/0", "3/00", "1.5", "", "3/ 2", "a", "1/-2", "--3", "1e3", "2/3/4", None, 4,
+     "1/0\n", "4\n", "\u0661/\u0660", "\u0664"],
+)
+def test_parse_rational_rejects(bad):
+    for _ in range(2):  # a failure is not cached: the second call rejects too
+        with pytest.raises(ParseError):
+            _parse_ratio(bad)
+
+
+def test_parse_rational_messages():
+    for _ in range(2):
+        with pytest.raises(ParseError, match="zero denominator"):
+            _parse_ratio("1/" + "0" * 5000)
+        with pytest.raises(ParseError, match="too long"):
+            _parse_ratio("1" * 5000)
+        with pytest.raises(ParseError, match="malformed"):
+            _parse_ratio("1/0 ")

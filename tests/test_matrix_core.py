@@ -195,3 +195,44 @@ def test_grid_splits_a_flat_sequence_into_rows(rows, cols, data):
     flat = data.draw(st.lists(st.integers(), min_size=rows * cols, max_size=rows * cols))
     expected = tuple(tuple(flat[k : k + cols]) for k in range(0, rows * cols, cols))
     assert _grid(flat, cols) == _grid(iter(flat), cols) == expected
+
+
+# -- GaussianRational, the scalar at the matrix boundary -----------------------
+
+
+def test_canonical_form():
+    assert GaussianRational(Fraction(2, 4)).re == Fraction(1, 2)
+    assert GaussianRational(Fraction(3, -6)).re == Fraction(-1, 2)
+    assert GaussianRational(Fraction(3, -6)).re.denominator == 2
+
+
+def test_equality_is_structural():
+    assert GaussianRational(1, 2) == GaussianRational(Fraction(2, 2), Fraction(4, 2))
+    assert GaussianRational(1) == 1
+    assert GaussianRational(Fraction(-1, 2)) == Fraction(-1, 2)
+    assert GaussianRational(0, 1) != 0
+    assert GaussianRational(1) != "1"
+    assert hash(GaussianRational(1, 2)) == hash(GaussianRational(1, 2))
+
+
+def test_real_value_hashes_like_its_real_part():
+    # equal values must hash alike, or a set holds 1 and GaussianRational(1) twice
+    assert len({1, GaussianRational(1)}) == 1
+    assert hash(GaussianRational(Fraction(1, 2))) == hash(Fraction(1, 2))
+
+
+def test_scalar_is_a_value_without_arithmetic():
+    z = GaussianRational(1, 2)
+    for op in ("__add__", "__sub__", "__mul__", "__truediv__", "__neg__", "conjugate", "norm_sq"):
+        assert not hasattr(z, op)
+    with pytest.raises(TypeError):
+        z + 1
+    with pytest.raises(TypeError):
+        2 * z
+
+
+def test_str_forms():
+    assert str(GaussianRational(Fraction(-3, 2))) == "-3/2"
+    assert str(GaussianRational(0, 1)) == "i"
+    assert str(GaussianRational(1, -1)) == "1-i"
+    assert str(GaussianRational(Fraction(1, 2), Fraction(5, 3))) == "1/2+5/3i"
