@@ -75,11 +75,17 @@ one path for a scalar multiple.
 
 `_make(den, re, im)` is the one function that writes a matrix's slots, in
 canonical form: it drops an all-zero imaginary grid, divides out the gcd
-and makes `den` positive. `copy` and `pickle` reach it through
-`__reduce__`, and `Matrix(rows, cols, entries)` and the JSON codec through
-`_from_parts`, which aligns row-major integer (re, im, den) triples over
-their lcm, rescaling only when it is not 1. Matrices are immutable, so
-`Matrix.identity` and `Matrix.zeros` return one cached instance per shape.
+and makes `den` positive. The five slots live on a private base class,
+`_MatrixSlots`, which has no write guard; `Matrix` subclasses it with no
+slots of its own and refuses every attribute write and delete. `_make`
+fills a new base instance with plain attribute stores, which CPython
+specialises, and then sets its `__class__` to `Matrix`, which the equal
+layouts allow; no other code makes a base instance. `copy` and `pickle`
+reach `_make` through `__reduce__`, and `Matrix(rows, cols, entries)` and
+the JSON codec through `_from_parts`, which aligns row-major integer
+(re, im, den) triples over their lcm, rescaling only when it is not 1.
+Matrices are immutable, so `Matrix.identity` and `Matrix.zeros` return one
+cached instance per shape.
 """
 
 from __future__ import annotations
@@ -289,10 +295,17 @@ def _gather(mats, f) -> "Matrix":
     return Matrix._make(den, f(res), f(ims) if complex_ else None)
 
 
-class Matrix:
-    """Immutable rows x cols matrix: (re + im i) / den over integer grids."""
+class _MatrixSlots:
+    """A matrix's storage without the write guard; only `Matrix._make`
+    instantiates it, and it reclasses the instance before returning it."""
 
     __slots__ = ("rows", "cols", "den", "re", "im")
+
+
+class Matrix(_MatrixSlots):
+    """Immutable rows x cols matrix: (re + im i) / den over integer grids."""
+
+    __slots__ = ()
 
     def __new__(cls, rows: int, cols: int, entries: Iterable):
         return cls._from_parts(rows, cols, map(_scalar_ints, entries))
@@ -317,8 +330,8 @@ class Matrix:
         # building one (2-3 us of a 4x4 or 6x6 real matrix).
         return cls._make(den, _grid(re, cols), _grid(im, cols) if any(im) else None)
 
-    @classmethod
-    def _make(cls, den: int, re, im) -> "Matrix":
+    @staticmethod
+    def _make(den: int, re, im) -> "Matrix":
         """The canonical form of (re + im i) / den, from nonempty integer
         grids (tuples of rows): the one function that writes the slots."""
         if im is not None and not any(map(any, im)):
@@ -332,18 +345,22 @@ class Matrix:
                 re = _gmap("//", re, g)
                 if im is not None:
                     im = _gmap("//", im, g)
-        m = object.__new__(cls)
-        _set_rows(m, len(re))
-        _set_cols(m, len(re[0]))
-        _set_den(m, den)
-        _set_re(m, re)
-        _set_im(m, im)
+        m = _MatrixSlots()
+        m.rows = len(re)
+        m.cols = len(re[0])
+        m.den = den
+        m.re = re
+        m.im = im
+        m.__class__ = Matrix
         return m
 
     def __reduce__(self):
         return Matrix._make, (self.den, self.re, self.im)
 
     def __setattr__(self, name, value):
+        raise AttributeError("Matrix is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("Matrix is immutable")
 
     # -- constructors ------------------------------------------------------
@@ -500,12 +517,6 @@ class Matrix:
         cells = [[str(e) for e in row] for row in self.to_rows()]
         width = max(len(c) for row in cells for c in row)
         return "\n".join("[" + "  ".join(c.rjust(width) for c in row) + "]" for row in cells)
-
-
-# The slots' own setters: `Matrix.__setattr__` refuses every write.
-_set_rows, _set_cols, _set_den, _set_re, _set_im = (
-    getattr(Matrix, name).__set__ for name in Matrix.__slots__
-)
 
 
 def block_diag(*blocks: Matrix) -> Matrix:

@@ -32,17 +32,22 @@ Note the factor inside the inverse carries the idempotent p: dropping it
 would leave 1 - alpha(1 + bd) = (bd)^2, which is singular for most
 instances of interest.
 
-A `Quadruple` memoizes ac, bd, alpha = 1 - bd, beta = 1 - ac and its
-side-condition report, which the transfers, the power construction and
-the generators' self-check all read, and the last power step reached.
-Matrices and quadruples are immutable, so a memoized value cannot go stale;
-a quadruple decoded from JSON is a new object and is checked anew.
+A `Quadruple` memoizes ac, bd, alpha = 1 - bd, beta = 1 - ac, its longest
+entry's bit length and its side-condition report, which the transfers, the
+power construction and the generators' self-check all read, and the last
+power step reached. The memo is `_memo`, a non-data descriptor whose first
+read stores the value in the instance `__dict__`, where later reads find
+it without calling the descriptor: `functools.cached_property` without the
+lock it takes on every first read on Python 3.10 and 3.11. The values are
+not dataclass fields, so `==`, `hash` and `repr` ignore them, and
+`dataclasses.replace` starts a new quadruple with an empty memo. Matrices
+and quadruples are immutable, so a memoized value cannot go stale; a
+quadruple decoded from JSON is a new object and is checked anew.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from itertools import chain
 
 from .drazin import DrazinData, drazin
@@ -64,6 +69,21 @@ MAX_POWER = 1000
 MAX_POWER_BITS = 32 * MAX_POWER
 
 
+class _memo:
+    """Read-once attribute: the first read stores `func(obj)` in the
+    instance `__dict__`, which every later read finds first, since this
+    descriptor defines no `__set__`."""
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class Quadruple:
     """Four square matrices of one common size."""
@@ -76,25 +96,26 @@ class Quadruple:
     _power_step: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = self.a.rows
-        for name in ("a", "b", "c", "d"):
-            m = getattr(self, name)
-            if not m.is_square() or m.rows != n:
-                raise ShapeError(f"matrix {name} must be square of size {n}")
+        a, b, c, d = self.a, self.b, self.c, self.d
+        n = a.rows
+        if not n == a.cols == b.rows == b.cols == c.rows == c.cols == d.rows == d.cols:
+            for name, m in zip("abcd", (a, b, c, d)):
+                if not m.is_square() or m.rows != n:
+                    raise ShapeError(f"matrix {name} must be square of size {n}")
 
     @property
     def size(self) -> int:
         return self.a.rows
 
-    @cached_property
+    @_memo
     def ac(self) -> Matrix:
         return self.a * self.c
 
-    @cached_property
+    @_memo
     def bd(self) -> Matrix:
         return self.b * self.d
 
-    @cached_property
+    @_memo
     def entry_bits(self) -> int:
         """Bit length of the longest integer in the four matrices' grids
         and denominators, which `power_instance` bounds."""
@@ -102,15 +123,15 @@ class Quadruple:
         entries = (chain((m.den,), *m.re, *(m.im or ())) for m in (self.a, self.b, self.c, self.d))
         return max(map(abs, chain.from_iterable(entries))).bit_length()
 
-    @cached_property
+    @_memo
     def alpha(self) -> Matrix:
         return Matrix.identity(self.size) - self.bd
 
-    @cached_property
+    @_memo
     def beta(self) -> Matrix:
         return Matrix.identity(self.size) - self.ac
 
-    @cached_property
+    @_memo
     def conditions(self) -> ConditionReport:
         """The four side conditions, checked once per quadruple."""
         return check_conditions(self)
@@ -129,7 +150,7 @@ class ConditionReport:
     all_hold: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        holds = tuple(r.is_zero() for r in self.residuals)
+        holds = tuple(map(Matrix.is_zero, self.residuals))
         object.__setattr__(self, "holds", holds)
         object.__setattr__(self, "all_hold", all(holds))
 
@@ -308,13 +329,16 @@ def transfer_drazin(q: Quadruple) -> TransferOutcome:
 
     The four conditions are symmetric under (a,b,c,d) -> (d,c,b,a), so both
     i(beta) <= i(alpha)+1 and i(alpha) <= i(beta)+1 must hold; a violation
-    of either is a falsification worth surfacing loudly.
+    of either is a falsification worth surfacing loudly, with alpha and
+    beta as its witness pair.
     """
     outcome = transfer_gdrazin(q)
     if abs(outcome.alpha_index - outcome.beta_index) > 1:
         raise IdentityFalsifiedError(
             f"index bound violated: i(alpha)={outcome.alpha_index}, "
-            f"i(beta)={outcome.beta_index}"
+            f"i(beta)={outcome.beta_index}",
+            lhs=q.alpha,
+            rhs=q.beta,
         )
     return outcome
 

@@ -1,9 +1,15 @@
-"""Every cache in the library is bounded.
+"""Every cache in the library is bounded, and no memo takes a lock.
 
 A memo keyed on caller input grows with the input unless it has a bound.
 An `ast` walk of every module of the package fails on `functools.cache`,
 on a bare `@lru_cache`, and on any `lru_cache(...)` whose `maxsize` is
 missing or the literal `None`.
+
+`functools.cached_property` takes an `RLock` on every first read on Python
+3.10 and 3.11, a cost paid per quadruple and per memoized value; the
+library's per-instance memos use `transfer._memo`, which stores into the
+instance `__dict__` without one. A second walk fails on any import or
+attribute use of `functools.cached_property`.
 """
 
 import ast
@@ -74,3 +80,33 @@ def test_unbounded_cache_is_found():
         "cache = {}",
     ])
     assert unbounded_caches(source) == [2, 7, 9, 11, 13, 15]
+
+
+def cached_properties(source: str) -> list[int]:
+    """Line numbers that import or name `functools.cached_property`."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            lines += [node.lineno for alias in node.names if alias.name == "cached_property"]
+        elif _functools(node, "cached_property"):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_cached_property(module):
+    assert cached_properties((PACKAGE / module).read_text()) == []
+
+
+def test_cached_property_is_found():
+    source = "\n".join([
+        "import functools",
+        "from functools import cached_property, lru_cache",
+        "class A:",
+        "    @functools.cached_property",
+        "    def f(self): return 1",
+        "    @cached_property",
+        "    def g(self): return 2",
+        "cached_property = property",
+    ])
+    assert cached_properties(source) == [2, 4]

@@ -3,6 +3,7 @@ import json
 import random
 import shlex
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -147,6 +148,26 @@ def test_falsification_prints_its_witness(tmp_path, capsys, monkeypatch, sides):
         assert witness[1] == "error: witness too large to print"
         expected, witness = expected[:1], witness[:1]
     assert [jsonio.matrix_from_obj(json.loads(line)) for line in witness] == expected
+
+
+def test_index_bound_violation_prints_alpha_and_beta(tmp_path, capsys, monkeypatch):
+    """`transfer_drazin` refuses an index pair beyond the bound with alpha
+    and beta as the falsification's two sides, which the command prints."""
+    evaluate = transfer._evaluate_transfer
+
+    def skewed(q, alpha_data):
+        out = evaluate(q, alpha_data)
+        return replace(out, alpha_index=0, direct=replace(out.direct, index=2))
+
+    monkeypatch.setattr(transfer, "_evaluate_transfer", skewed)
+    q = counterexample_instance()
+    path = write_quadruple(tmp_path / "q.json", q)
+    assert main(["transfer", "--input", path, "--mode", "drazin"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    first, *witness = err.splitlines()
+    assert first == "error: falsified: index bound violated: i(alpha)=0, i(beta)=2"
+    assert [jsonio.matrix_from_obj(json.loads(line)) for line in witness] == [q.alpha, q.beta]
 
 
 def test_check_conditions_command(tmp_path, capsys):

@@ -2,7 +2,10 @@ import copy
 import dataclasses
 import pickle
 import random
+import sys
 from fractions import Fraction
+from itertools import chain
+from math import gcd
 from operator import add, floordiv, mul, sub
 
 import pytest
@@ -280,6 +283,83 @@ def test_copy_and_pickle_round_trip():
     q = counterexample_instance()
     assert q.conditions.all_hold  # memoized facts are copied too
     assert copy.deepcopy(q) == q
+
+
+def test_every_route_builds_a_matrix():
+    """Every constructor, operation and copy returns an instance of `Matrix`
+    itself: `_make` reclasses its slot-base instance before returning it."""
+    a = as_matrix([[2, 1], [1, 1]])
+    b = as_matrix([[Fraction(1, 2), GaussianRational(0, 1)], [0, 3]])
+    built = [
+        Matrix._make(-2, ((2, 4), (6, 8)), ((0, 0), (0, 0))),
+        Matrix(2, 2, [1, 2, 3, 4]),
+        Matrix.from_rows([[1, 2], [3, 4]]),
+        Matrix.identity(3),
+        Matrix.zeros(2, 3),
+        a * b,
+        a + b,
+        a - b,
+        -b,
+        b.scale(Fraction(2, 3)),
+        b.T,
+        rref(b).matrix,
+        inverse(a),
+        copy.copy(b),
+        copy.deepcopy(b),
+        *(pickle.loads(pickle.dumps(b, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)),
+    ]
+    assert [type(m) for m in built] == [Matrix] * len(built)
+
+
+@pytest.mark.parametrize("name", ["rows", "cols", "den", "re", "im", "other"])
+def test_every_slot_write_is_refused(name):
+    m = as_matrix([[1, 2], [3, GaussianRational(0, 1)]])
+    before = (m.rows, m.cols, m.den, m.re, m.im)
+    with pytest.raises(AttributeError, match="Matrix is immutable"):
+        setattr(m, name, 0)
+    with pytest.raises(AttributeError, match="Matrix is immutable"):
+        delattr(m, name)
+    assert (m.rows, m.cols, m.den, m.re, m.im) == before
+
+
+def test_slot_base_is_private():
+    base = Matrix.__mro__[1]
+    assert base is not object and base.__slots__ == ("rows", "cols", "den", "re", "im")
+    assert Matrix.__slots__ == () and base.__name__.startswith("_")
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "drazinlab"]
+    assert len(modules) > 1
+    for module in modules:
+        public = [name for name in vars(module) if not name.startswith("_")]
+        assert all(getattr(module, name) is not base for name in public), module.__name__
+
+
+def _int_grids(rows, cols):
+    row = st.lists(st.integers(-60, 60), min_size=cols, max_size=cols).map(tuple)
+    return st.lists(row, min_size=rows, max_size=rows).map(tuple)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_make_is_the_canonical_fraction_matrix_property(data):
+    """`_make(den, re, im)`, a negative den, den 1 and an all-zero im
+    included, is entry (re + im i) / den of the `Fraction`-built matrix, in
+    canonical form."""
+    rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    den = data.draw(st.sampled_from([1, -1]) | st.integers(-36, 36).filter(bool))
+    re = data.draw(_int_grids(rows, cols))
+    im = data.draw(st.none() | st.just(((0,) * cols,) * rows) | _int_grids(rows, cols))
+    m = Matrix._make(den, re, im)
+    ims = im or ((0,) * cols,) * rows
+    cells = [
+        [GaussianRational(Fraction(x, den), Fraction(y, den)) for x, y in zip(*rs)]
+        for rs in zip(re, ims)
+    ]
+    assert type(m) is Matrix and m == Matrix.from_rows(cells) and m.to_rows() == cells
+    assert (m.rows, m.cols) == (rows, cols) and m.den > 0
+    grids = m.re if m.im is None else m.re + m.im
+    assert gcd(m.den, *chain.from_iterable(grids)) == 1
+    assert m.im is None or any(map(any, m.im))
+    assert (m.im is None) == (im is None or not any(map(any, im)))
 
 
 # Entries of every size up to 200 bits, negative ones included.

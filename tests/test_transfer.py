@@ -771,3 +771,47 @@ def test_quadruple_shape_validation():
         Quadruple(Matrix.zeros(2, 2), Matrix.zeros(3, 3), Matrix.zeros(2, 2), Matrix.zeros(2, 2))
     with pytest.raises(ShapeError):
         Quadruple(Matrix.zeros(2, 3), Matrix.zeros(2, 3), Matrix.zeros(2, 3), Matrix.zeros(2, 3))
+
+
+@pytest.mark.parametrize(
+    "name, bad, message",
+    [
+        ("a", Matrix.zeros(2, 3), "matrix a must be square of size 2"),
+        ("a", Matrix.zeros(3, 3), "matrix b must be square of size 3"),
+        ("b", Matrix.zeros(2, 3), "matrix b must be square of size 2"),
+        ("b", Matrix.zeros(3, 2), "matrix b must be square of size 2"),
+        ("c", Matrix.zeros(3, 3), "matrix c must be square of size 2"),
+        ("c", Matrix.zeros(2, 1), "matrix c must be square of size 2"),
+        ("c", Matrix.zeros(3, 2), "matrix c must be square of size 2"),
+        ("d", Matrix.zeros(1, 1), "matrix d must be square of size 2"),
+        ("d", Matrix.zeros(1, 2), "matrix d must be square of size 2"),
+        ("d", Matrix.zeros(2, 3), "matrix d must be square of size 2"),
+    ],
+)
+def test_misshaped_matrix_is_named(name, bad, message):
+    parts = dict(zip("abcd", (Matrix.identity(2),) * 4), **{name: bad})
+    with pytest.raises(ShapeError) as info:
+        Quadruple(**parts)
+    assert str(info.value) == message
+
+
+MEMOS = ("ac", "bd", "alpha", "beta", "conditions", "entry_bits")
+
+
+def test_memo_forms_each_product_once(monkeypatch):
+    q = replace(GENERIC)
+    products = record_calls(monkeypatch, Matrix, "__mul__")
+    assert q.ac is q.ac and q.bd is q.bd
+    assert products == [(q.a, q.c), (q.b, q.d)]
+
+
+def test_memo_is_not_part_of_the_value():
+    q, fresh = replace(GENERIC), replace(GENERIC)
+    values = [getattr(q, name) for name in MEMOS]
+    assert set(MEMOS) <= set(vars(q)) and not set(MEMOS) & set(vars(fresh))
+    assert [getattr(q, name) for name in MEMOS] == values
+    assert q == fresh and hash(q) == hash(fresh) and repr(q) == repr(fresh)
+    assert "alpha" not in repr(q) and "entry_bits" not in repr(q)
+    # replace builds a new quadruple through __init__: its memo starts empty
+    assert not set(MEMOS) & set(vars(replace(q)))
+    assert isinstance(Quadruple.ac, transfer_module._memo)
