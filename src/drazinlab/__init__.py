@@ -24,6 +24,7 @@ from .matrices import (
 )
 from .drazin import (
     DrazinData,
+    certify_drazin,
     commutant_basis,
     drazin,
     group_inverse,

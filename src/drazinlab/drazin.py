@@ -7,7 +7,9 @@ on every input; a disagreement is a kernel bug, never a property of the
 input. Each finds the index its own way, so the indices cross-check too:
 `drazin` by the rank sequence of the powers, which reads only pivots and
 so eliminates each power forward only (`pivot_columns`); `oracle_drazin`
-as the length of its chain.
+as the length of its chain. `certify_drazin` computes nothing: it checks
+a candidate, such as the transfer formula's value, against the defining
+equations by products alone and reads the index off them.
 
 A Drazin inverse lies in the double commutant of its matrix (Drazin 1958,
 Amer. Math. Monthly 65). `commutant_basis` returns the null-space basis
@@ -78,17 +80,48 @@ def nilpotency_index(a: Matrix) -> int:
     raise ValueError("matrix is not nilpotent")
 
 
+def _failed_equation(a: Matrix, x: Matrix, ax: Matrix) -> str | None:
+    """Why x fails a x = x a or x (a x) = x, ax = a x; None if it fails neither."""
+    if ax != x * a:
+        return "Drazin candidate does not commute with the matrix"
+    if x * ax != x:
+        return "Drazin candidate fails x a x = x"
+    return None
+
+
 def _verify_drazin(a: Matrix, x: Matrix, ax: Matrix, ak: Matrix) -> None:
     """Check x = A^D against the defining equations; ax = a x, ak = a^index.
     They imply the rest, so it is not checked again: (ax)(ax) = a(xax) = ax,
     so p = I - ax is idempotent, and a^k p = a^k - a^k(ax) = 0, so the
     core-nilpotent part vanishes at the index."""
-    if ax != x * a:
-        raise InternalInvariantError("Drazin candidate does not commute with the matrix")
-    if x * ax != x:
-        raise InternalInvariantError("Drazin candidate fails x a x = x")
-    if ak * ax != ak:
-        raise InternalInvariantError("Drazin candidate fails a^(k+1) x = a^k")
+    failed = _failed_equation(a, x, ax)
+    if failed is None and ak * ax != ak:
+        failed = "Drazin candidate fails a^(k+1) x = a^k"
+    if failed is not None:
+        raise InternalInvariantError(failed)
+
+
+def certify_drazin(a: Matrix, x: Matrix) -> DrazinData | None:
+    """x's Drazin data if x is the Drazin inverse of a, else None; products
+    only, no elimination.
+
+    A^D is the one x with a x = x a, x (a x) = x and a^k (a x) = a^k for
+    some k (Drazin 1958), and the least such k is the index (Ben-Israel and
+    Greville, Generalized Inverses, ch. 4). With p = I - a x the last
+    equation reads a^k p = 0, so the search forms one product a (a^(k-1) p)
+    per k = 0..n. The result equals `drazin(a)` exactly: same inverse,
+    same index, and the idempotent I - a x.
+    """
+    _require_square(a, "Drazin inverse")
+    ax = a * x
+    if _failed_equation(a, x, ax) is not None:
+        return None
+    p = akp = Matrix.identity(a.rows) - ax
+    for k in range(a.rows + 1):
+        if akp.is_zero():
+            return DrazinData(x, k, p)
+        akp = a * akp
+    return None
 
 
 def drazin(a: Matrix) -> DrazinData:

@@ -15,11 +15,13 @@ ParseError.
 A quadruple is `{"a": .., "b": .., "c": .., "d": ..}`; when "d" is absent
 the loader lifts the triple by setting d := a.
 
-An outcome's transferred "beta_drazin" data usually equal its "direct"
-data. When they do (value equality, whatever "agrees" says),
-`outcome_to_obj` encodes "direct" once and puts that one object under
-both keys: the text is that of two equal copies, the tree still holds no
-cycle, and editing the returned object in place edits both entries.
+An outcome's transferred "beta_drazin" data equal its "direct" data
+whenever the formula agrees: "direct" is then the formula's certified
+value with beta's index and idempotent. When they are equal (value
+equality, whatever "agrees" says), `outcome_to_obj` encodes "direct"
+once and puts that one object under both keys: the text is that of two
+equal copies, the tree still holds no cycle, and editing the returned
+object in place edits both entries.
 
 A matrix side over `matrices.MAX_SIZE` is refused: exact elimination
 has no cost bound, so the input size bounds a command's run time.

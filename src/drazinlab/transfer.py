@@ -20,9 +20,14 @@ Drazin data of beta is an explicit expression in that of alpha:
 
 with p = alpha^pi and x = alpha^D. `transfer_value` is the one place that
 writes this formula and its resolvent sum, with only *, +, -, == and the
-ring's one, so any ring can run it. Every transfer evaluates y, computes
-the Drazin inverse of beta directly (it is alpha's when beta = alpha), and
-returns both; the formula is never trusted on its own. The resolvent is a
+ring's one, so any ring can run it. Every transfer evaluates y and
+certifies it with products alone (`certify_drazin`): y commutes with beta,
+y beta y = y, and beta^k (beta y) = beta^k at some k <= n, whose least
+value is i(beta). The Drazin inverse is unique (Drazin 1958), so a
+certified y is beta^D; only when a check fails is beta^D computed
+directly, by `drazin`, as the other side of the disagreement. When
+beta = alpha, alpha's Drazin data are beta's, and y is compared with
+them. The formula is never trusted on its own. The resolvent is a
 finite sum and needs none of the four conditions: m = p alpha (1 + bd) =
 (p alpha)(2 - alpha), p alpha commutes with alpha and vanishes at alpha's
 index l, so m^max(l,1) = 0 and (1 - m)^-1 = sum_{k < max(l,1)} m^k. A
@@ -50,7 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from itertools import chain
 
-from .drazin import DrazinData, drazin
+from .drazin import DrazinData, certify_drazin, drazin
 from .errors import (
     ConditionsViolatedError,
     IdentityFalsifiedError,
@@ -240,18 +245,19 @@ def jacobson_drazin(a: Matrix, b: Matrix) -> Matrix:
 
     The simple form is only an identity for (1-ba)^D when the correction
     term carried by the spectral idempotent of 1-ab vanishes; this
-    function evaluates both sides exactly and raises IdentityFalsifiedError
-    when they differ (e.g. whenever ab = 1), rather than returning a wrong
-    value silently.
+    function certifies the formula's value as (1-ba)^D (`certify_drazin`)
+    and raises IdentityFalsifiedError when it is not (e.g. whenever
+    ab = 1), with (1-ba)^D computed directly as the left side, rather than
+    returning a wrong value silently.
     """
     _require_pair(a, b)
     eye = Matrix.identity(a.rows)
     formula = eye + b * drazin(eye - a * b).dinv * a
-    direct = drazin(eye - b * a).dinv
-    if formula != direct:
+    beta = eye - b * a
+    if certify_drazin(beta, formula) is None:
         raise IdentityFalsifiedError(
             "1 + b(1-ab)^D a differs from (1-ba)^D on this pair",
-            lhs=direct,
+            lhs=drazin(beta).dinv,
             rhs=formula,
         )
     return formula
@@ -267,7 +273,14 @@ def _require_pair(a: Matrix, b: Matrix) -> None:
 
 @dataclass(frozen=True)
 class TransferOutcome:
-    """Transferred and directly computed Drazin data for beta = 1 - ac."""
+    """Transferred and reference Drazin data for beta = 1 - ac.
+
+    `direct` is beta^D with its index and idempotent: the certified value
+    of the formula when the certificate holds, alpha's data when
+    beta = alpha, and `drazin(beta)` otherwise. `beta_drazin` is the
+    formula's value y with i(beta): `direct` itself when y agrees, and
+    with the idempotent I - beta y when it does not.
+    """
 
     beta: Matrix
     beta_drazin: DrazinData
@@ -304,13 +317,15 @@ def _evaluate_transfer(q: Quadruple, alpha_data: DrazinData) -> TransferOutcome:
     beta, eye = q.beta, Matrix.identity(q.size)
     p, x = alpha_data.spectral_idempotent, alpha_data.dinv
     y = transfer_value(q.b, q.d, q.ac, q.bd, q.alpha, x, p, alpha_data.index, eye)
-    # drazin is deterministic, and its idempotent is eye - beta * dinv
-    direct = alpha_data if beta == q.alpha else drazin(beta)
+    # a certified y is beta^D, with drazin(beta)'s index and idempotent
+    if beta == q.alpha:
+        direct = alpha_data
+    else:
+        direct = certify_drazin(beta, y) or drazin(beta)
     agrees = y == direct.dinv
-    idempotent = direct.spectral_idempotent if agrees else eye - beta * y
     return TransferOutcome(
         beta=beta,
-        beta_drazin=DrazinData(y, direct.index, idempotent),
+        beta_drazin=direct if agrees else DrazinData(y, direct.index, eye - beta * y),
         direct=direct,
         agrees=agrees,
         alpha_index=alpha_data.index,
@@ -351,7 +366,8 @@ def transfer_group(q: Quadruple) -> TransferOutcome:
     Drazin formula (x = alpha^# when the index is at most 1); `agrees`
     additionally demands that beta has a group inverse and that the formula
     reproduces it exactly. The group axiom is not checked again: then y is
-    beta's Drazin inverse, verified by `drazin` at an index k <= 1, and
+    beta's Drazin inverse, certified (or equal to alpha's verified one)
+    at an index k <= 1, and
     k = 1 gives beta y beta = beta (beta y) = beta, k = 0 gives beta y = 1.
     """
     _require_conditions(q)

@@ -10,7 +10,14 @@ Per quadruple, in order:
   checks each result against the defining equations, which imply that
   the core-nilpotent part vanishes at the index, so a transferred value
   equal to it needs no more.
-* transfer agreement -- the formula's value differs from the direct one.
+* transfer agreement -- the formula's value y is not beta's Drazin
+  inverse. The transfer certifies y with products alone
+  (`certify_drazin`): y commutes with beta, y beta y = y, and
+  beta^k (beta y) = beta^k at some k <= n, the least such k being
+  i(beta). The Drazin inverse is unique, so a certified y is beta^D and
+  needs no more. Only when a check fails does `drazin(beta)` run, and
+  the record says the formula and the direct Drazin inverse differ. When
+  beta = alpha, y is compared with alpha's verified data instead.
 * double commutant -- a Drazin inverse commutes with everything that
   commutes with its matrix (Drazin 1958), so the transferred value y must.
   Over a field the double commutant of one matrix is its polynomial

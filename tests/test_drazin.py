@@ -4,17 +4,19 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from drazinlab import (
     GaussianRational,
+    DrazinData,
     InternalInvariantError,
     Matrix,
     block_diag,
     NoGroupInverseError,
     ShapeError,
     SingularMatrixError,
+    certify_drazin,
     drazin,
     commutant_basis,
     group_inverse,
@@ -215,41 +217,57 @@ def test_group_inverse_exists_iff_index_at_most_one():
 
 
 GAUSS_CELL = st.builds(GaussianRational, RATIONALS, RATIONALS | st.just(0))
+# One entry set per field: every entry of a drawn matrix comes from one.
+FIELD_CELLS = {
+    "integer": st.integers(-3, 3),
+    "rational": RATIONALS,
+    "gaussian": st.builds(GaussianRational, RATIONALS, RATIONALS.filter(bool)),
+}
 
 
 @st.composite
-def upper_triangular(draw, size, diagonal):
-    """Entries from GAUSS_CELL above the diagonal, `diagonal` on it."""
+def upper_triangular(draw, size, diagonal, cell=GAUSS_CELL):
+    """Entries from `cell` above the diagonal, `diagonal` on it."""
     return Matrix.from_rows(
-        [[draw(GAUSS_CELL) if j > i else diagonal * (i == j) for j in range(size)]
+        [[draw(cell) if j > i else diagonal * (i == j) for j in range(size)]
          for i in range(size)]
     )
 
 
 @st.composite
-def unit_triangular_conjugator(draw, n):
-    """Unit lower times unit upper triangular: invertible by construction."""
-    return draw(upper_triangular(n, 1)).T * draw(upper_triangular(n, 1))
+def unit_triangular_conjugator(draw, n, cell=GAUSS_CELL):
+    """Unit lower times unit upper triangular: invertible by construction,
+    with an inverse over the ring of `cell`'s entries."""
+    return draw(upper_triangular(n, 1, cell)).T * draw(upper_triangular(n, 1, cell))
 
 
 @st.composite
-def drazin_inputs(draw):
-    """At most 4x4 over Q(i). Two draws in three have an index >= 1: either
-    a low-rank one, or P diag(C, N) P^-1 with N strictly upper triangular
-    (index up to the size of N) and P unit lower times unit upper."""
-    n = draw(st.integers(1, 4))
+def drazin_inputs(draw, max_size=4, cell=None):
+    """At most max_size x max_size over Q(i), or with every entry from
+    `cell` when one is given. Two draws in three have an index >= 1:
+    either a low-rank one, or P diag(C, N) P^-1 with N strictly upper
+    triangular (index up to the size of N) and P unit lower times unit
+    upper."""
+
+    def block(rows, cols):
+        if cell is None:
+            return as_matrix(draw(grids(rows, cols)))
+        return as_matrix([[draw(cell) for _ in range(cols)] for _ in range(rows)])
+
+    triangle_cell = GAUSS_CELL if cell is None else cell
+    n = draw(st.integers(1, max_size))
     style = draw(st.sampled_from(("dense", "low_rank", "nilpotent_part")))
     if style == "dense":
-        return as_matrix(draw(grids(n, n)))
+        return block(n, n)
     if style == "low_rank":
         r = draw(st.integers(0, n - 1))
         if r == 0:
             return Matrix.zeros(n, n)
-        return as_matrix(draw(grids(n, r))) * as_matrix(draw(grids(r, n)))
+        return block(n, r) * block(r, n)
     k = draw(st.integers(0, n - 1))
-    nil = draw(upper_triangular(n - k, 0))
-    core = block_diag(as_matrix(draw(grids(k, k))), nil) if k else nil
-    p = draw(unit_triangular_conjugator(n))
+    nil = draw(upper_triangular(n - k, 0, triangle_cell))
+    core = block_diag(block(k, k), nil) if k else nil
+    p = draw(unit_triangular_conjugator(n, triangle_cell))
     return p * core * inverse(p)
 
 
@@ -291,6 +309,8 @@ def test_self_check_rejects_a_candidate_breaking_one_equation(x, message):
     assert sum(broken) == 1
     with pytest.raises(InternalInvariantError, match=re.escape(message)):
         drazin_module._verify_drazin(a, x, ax, a)
+    # the certificate rejects it too, whichever equation it breaks
+    assert certify_drazin(a, x) is None
 
 
 def test_oracle_factors_down_a_chain_of_falling_size(monkeypatch):
@@ -411,6 +431,47 @@ def test_planted_index_on_both_routes(n):
         data, oracle = drazin(a), oracle_drazin(a)
         assert data.index == oracle.index == max(ks), ks
         assert data.dinv == oracle.dinv == expected, ks
+        # the third route checks the planted answer instead of finding it
+        assert certify_drazin(a, expected) == data, ks
+
+
+# -- the certificate -----------------------------------------------------------
+
+@st.composite
+def certificate_inputs(draw):
+    """(a, e): a at most 5x5 with integer, rational or Gaussian entries,
+    and a nonzero e of its size, dense or with one nonzero entry."""
+    a = draw(drazin_inputs(5, FIELD_CELLS[draw(st.sampled_from(sorted(FIELD_CELLS)))]))
+    n = a.rows
+    if draw(st.booleans()):
+        e = as_matrix(draw(grids(n, n)))
+    else:
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        value = draw(GAUSS_CELL.filter(bool))
+        e = as_matrix([[value if (r, c) == (i, j) else 0 for c in range(n)] for r in range(n)])
+    assume(not e.is_zero())
+    return a, e
+
+
+@settings(max_examples=80, deadline=None)
+@given(certificate_inputs())
+def test_certificate_accepts_the_drazin_inverse_alone_property(inputs):
+    # A^D is unique, so it is the one candidate the certificate accepts,
+    # and then with drazin's index and idempotent
+    a, e = inputs
+    data = drazin(a)
+    assert certify_drazin(a, data.dinv) == data
+    assert certify_drazin(a, data.dinv + e) is None
+
+
+def test_zero_certifies_at_the_nilpotency_index():
+    # J_m(0) has index m and Drazin inverse 0, with idempotent I
+    for m in range(1, MAX_SIZE + 1):
+        zero = Matrix.zeros(m, m)
+        assert certify_drazin(jordan_block(m, 0), zero) == DrazinData(zero, m, Matrix.identity(m))
+    # diag(1, 0) is not nilpotent: 0 satisfies the first two equations,
+    # but diag(1, 0)^k (diag(1, 0) 0) = diag(1, 0)^k at no k
+    assert certify_drazin(diag([1, 0]), Matrix.zeros(2, 2)) is None
 
 
 # -- the commutant -------------------------------------------------------------

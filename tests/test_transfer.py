@@ -252,6 +252,18 @@ def test_jacobson_drazin_fails_beyond_ab_identity():
     assert exc_info.value.rhs.is_identity()
 
 
+def test_jacobson_drazin_certifies_a_holding_pair_with_one_drazin_call(monkeypatch):
+    # the hand pair: ab = 0 and 1 - ba is a shear. Only (1-ab)^D is
+    # computed; the formula's value is certified as (1-ba)^D
+    a = as_matrix([[0, 0], [0, 1]])
+    b = as_matrix([[0, 1], [0, 0]])
+    eye = Matrix.identity(2)
+    expected = drazin(eye - b * a).dinv
+    calls = record_calls(monkeypatch, "drazinlab.drazin", "drazin")
+    assert jacobson_drazin(a, b) == expected == as_matrix([[1, 1], [0, 1]])
+    assert calls == [(eye - a * b,)]
+
+
 def test_jacobson_drazin_random_invertible_pairs():
     rng = random.Random(19)
     eye = Matrix.identity(3)
@@ -462,27 +474,52 @@ def test_transfer_drazin_reuses_alphas_drazin_data_when_beta_is_alpha(monkeypatc
 
 def test_disagreeing_formula_gets_its_own_idempotent(monkeypatch):
     (q,) = gen_family(GeneratorSpec("zero_padded_nilpotent", 4, seed=8, count=1))
+    assert q.beta != q.alpha
     eye = Matrix.identity(4)
+    expected = drazin(q.beta)
     # a formula off by the identity moves y off the Drazin inverse of beta
     original = transfer_module.transfer_value
     monkeypatch.setattr(transfer_module, "transfer_value", lambda *args: original(*args) + eye)
+    calls = record_calls(monkeypatch, "drazinlab.drazin", "drazin")
     out = transfer_drazin(q)
     assert not out.agrees
+    # the certificate failed, so beta^D was computed directly
+    assert calls == [(q.alpha,), (q.beta,)]
+    assert out.direct == expected
     y = out.beta_drazin.dinv
     assert out.beta_drazin.spectral_idempotent == eye - out.beta * y
     assert out.beta_drazin.spectral_idempotent != out.direct.spectral_idempotent
 
 
-def test_transfer_drazin_eliminates_only_in_its_drazin_calls(monkeypatch):
+def test_transfer_drazin_certifies_beta_without_a_second_drazin_call(monkeypatch):
+    quads = [
+        q
+        for size in (2, 3, 4)
+        for family in ("strong", "zero_padded_nilpotent")
+        for q in gen_family(GeneratorSpec(family, size, seed=2, count=4))
+        if q.beta != q.alpha
+    ]
+    assert len(quads) >= 10
+    expected = [drazin(q.beta) for q in quads]
+    assert any(direct.index >= 2 for direct in expected)
+    calls = record_calls(monkeypatch, "drazinlab.drazin", "drazin")
+    for q, direct in zip(quads, expected):
+        calls.clear()
+        out = transfer_drazin(q)
+        assert calls == [(q.alpha,)]
+        assert out.agrees and out.direct == direct and out.beta_drazin == direct
+
+
+def test_transfer_drazin_eliminates_only_in_alphas_drazin_call(monkeypatch):
     (q,) = gen_family(GeneratorSpec("zero_padded_nilpotent", 4, seed=5, count=1))
     eye = Matrix.identity(4)
     eliminated = record_calls(monkeypatch, "drazinlab.matrices", "rref")
-    assert drazin(eye - q.b * q.d).index >= 2
-    drazin(eye - q.a * q.c)
+    assert q.beta != q.alpha and drazin(eye - q.b * q.d).index >= 2
     expected = list(eliminated)
     eliminated.clear()
     assert transfer_drazin(q).agrees
-    # the resolvent is a sum of powers, so no inverse(1 - m) elimination
+    # the resolvent is a sum of powers, so no inverse(1 - m) elimination,
+    # and beta's certificate is products alone
     assert eliminated == expected
 
 

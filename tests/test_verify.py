@@ -109,6 +109,21 @@ def test_stage_failure_becomes_record(monkeypatch, module, name, fake, prop, det
     assert (failure.prop, failure.detail) == (prop, detail)
 
 
+def test_perturbed_formula_becomes_an_agreement_record(monkeypatch):
+    # y + 1 fails beta's certificate, so the transfer computes beta^D
+    # directly and reports the two as different
+    (q,) = gen_family(GeneratorSpec("zero_padded_nilpotent", 4, seed=8, count=1))
+    assert q.beta != q.alpha
+    original = transfer_module.transfer_value
+    # the last argument is the ring's one
+    monkeypatch.setattr(transfer_module, "transfer_value", lambda *args: original(*args) + args[-1])
+    report = run_battery([q])
+    assert report.total == 1 and report.passed == 0
+    assert report.failures == [
+        verify_module.Failure(0, "transfer agreement", "formula and direct Drazin inverse differ")
+    ]
+
+
 def test_commutant_self_check_failure_becomes_record(monkeypatch):
     # classic shape (c := b, d := a), so the side conditions hold, and
     # beta = 1 - ab = diag(0, 1, 1) is derogatory
